@@ -12,6 +12,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"tcsim/internal/obs"
 )
 
 // reqIDHeader correlates each exchange with the daemon's log lines.
@@ -180,14 +182,16 @@ func (c *Client) Policies(ctx context.Context) ([]Policy, error) {
 	return ps, nil
 }
 
-// Metrics fetches the daemon's counter snapshot (GET /metrics.json —
-// GET /metrics serves the same counters in the Prometheus text format).
-func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
-	var m Metrics
-	if err := c.do(ctx, http.MethodGet, "/metrics.json", nil, &m); err != nil {
+// Metrics scrapes the daemon's counters (GET /metrics, the Prometheus
+// text exposition) and returns every sample keyed by "name{labels}",
+// e.g. `tcserved_cache_requests_total{result="hit"}`. An exposition
+// that fails to parse is an error.
+func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
+	var body []byte
+	if err := c.do(ctx, http.MethodGet, "/metrics", nil, &body); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return obs.ParseExposition(body)
 }
 
 // Health checks /healthz (liveness); nil means the process is up. A
@@ -242,7 +246,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // doOnce issues one JSON request and decodes either the 2xx body into
-// out or the error body into an *APIError.
+// out (copied verbatim when out is a *[]byte) or the error body into an
+// *APIError.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -290,6 +295,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if raw, ok := out.(*[]byte); ok {
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return fmt.Errorf("client: read %s %s response: %w", method, path, err)
+		}
+		*raw = b
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

@@ -167,104 +167,6 @@ type Policy struct {
 	Oracle bool `json:"oracle,omitempty"`
 }
 
-// Metrics is the GET /metrics snapshot: expvar-style monotonic counters
-// plus point-in-time gauges.
-type Metrics struct {
-	UptimeSecs float64 `json:"uptime_secs"`
-
-	JobsAccepted  uint64 `json:"jobs_accepted"`
-	JobsCompleted uint64 `json:"jobs_completed"`
-	JobsFailed    uint64 `json:"jobs_failed"`
-	JobsRejected  uint64 `json:"jobs_rejected"` // 429 queue-full rejections
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	DedupJoins    uint64 `json:"dedup_joins"` // joined a concurrent identical run
-	// CacheHitRatio is hits / (hits + misses), 0 before any lookup.
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-
-	QueueDepth   int64 `json:"queue_depth"` // admitted, waiting for a worker
-	InFlight     int64 `json:"in_flight"`   // simulating right now
-	CacheEntries int   `json:"cache_entries"`
-
-	// Simulation throughput: total simulated retired instructions over
-	// cumulative busy wall time of completed runs.
-	SimInsts       uint64  `json:"sim_insts_total"`
-	SimBusySecs    float64 `json:"sim_busy_secs"`
-	SimInstsPerSec float64 `json:"sim_insts_per_sec"`
-
-	// Sweep-side counters (the experiments runner shared by /v1/sweeps).
-	SweepCells       uint64 `json:"sweep_cells"`
-	SweepSimulations uint64 `json:"sweep_simulations"`
-	SweepInFlight    int64  `json:"sweep_in_flight"`
-
-	// Passes aggregates per-pass fill-unit counters across every
-	// simulation the job engine executed (cache hits excluded), keyed in
-	// canonical pass order.
-	Passes []tcsim.PassStat `json:"passes,omitempty"`
-
-	// TraceReuse decants trace-cache line reuse by segment shape
-	// ("alu", "mem+loop", ...) across executed jobs: line generations
-	// retired and the demand hits they took.
-	TraceReuse []ReuseClassMetrics `json:"trace_reuse,omitempty"`
-	// TCBypasses counts trace-cache fills rejected by the replacement
-	// policy (non-zero only under bypass-capable policies like belady).
-	TCBypasses uint64 `json:"tc_bypasses,omitempty"`
-
-	// TraceStore reports the process-wide capture-once/replay-many trace
-	// store every simulation is served through.
-	TraceStore TraceStoreMetrics `json:"trace_store"`
-
-	// Sampling aggregates sampled-timing activity across executed jobs
-	// (all zero until a job sets sample_period).
-	Sampling SamplingMetrics `json:"sampling"`
-}
-
-// SamplingMetrics is the sampled-timing counter snapshot inside
-// Metrics: measured windows run, instructions skipped past detailed
-// timing (functionally fast-forwarded in warm mode, seeked past in
-// seek mode), and checkpoint usage.
-type SamplingMetrics struct {
-	Windows            uint64 `json:"windows_total"`
-	InstsFFwd          uint64 `json:"insts_ffwd_total"`
-	InstsSkipped       uint64 `json:"insts_skipped_total"`
-	Seeks              uint64 `json:"seeks_total"`
-	CheckpointRestores uint64 `json:"checkpoint_restores_total"`
-}
-
-// ReuseClassMetrics is one reuse-decanting class aggregate inside
-// Metrics: trace-cache line generations whose segments share an
-// instruction-mix class and loop-back shape, and the demand hits they
-// took before eviction.
-type ReuseClassMetrics struct {
-	Class string `json:"class"`
-	Lines uint64 `json:"lines"`
-	Hits  uint64 `json:"hits"`
-}
-
-// TraceStoreMetrics is the trace store's counter snapshot inside
-// Metrics: how many correct-path streams were captured (by emulation or
-// an on-disk load), how many runs replayed a resident stream instead of
-// re-emulating, and what the store holds right now.
-type TraceStoreMetrics struct {
-	Captures       uint64 `json:"captures"`
-	ReplayHits     uint64 `json:"replay_hits"`
-	Evictions      uint64 `json:"evictions"`
-	ResidentBytes  int64  `json:"resident_bytes"`
-	ResidentTraces int    `json:"resident_traces"`
-	// CaptureSecs is cumulative wall time spent emulating captures.
-	CaptureSecs float64 `json:"capture_secs"`
-	// On-disk trace directory traffic (all zero unless -tracedir is set).
-	DiskLoads   uint64 `json:"disk_loads"`
-	DiskSaves   uint64 `json:"disk_saves"`
-	DiskRejects uint64 `json:"disk_rejects"`
-	// Trace CDN traffic (all zero outside a cluster): serialized traces
-	// exported to peers, captures satisfied by a peer fetch, and fetched
-	// bodies rejected by fail-closed validation.
-	CDNServes  uint64 `json:"cdn_serves,omitempty"`
-	CDNFetches uint64 `json:"cdn_fetches,omitempty"`
-	CDNRejects uint64 `json:"cdn_rejects,omitempty"`
-}
-
 // NodeStatus is one backend's health as the cluster gateway sees it
 // (GET /v1/cluster).
 type NodeStatus struct {

@@ -1,12 +1,10 @@
-// Command tcexp regenerates the paper's tables and figures, or runs the
-// performance benchmark sweep.
+// Command tcexp regenerates the paper's tables and figures. Simulator
+// throughput is measured by the separate benchmark (tcbench/run.sh).
 //
 // Usage:
 //
 //	tcexp -exp fig8 -insts 200000
 //	tcexp -exp all
-//	tcexp -exp bench -bench-out BENCH_sweep.json
-//	tcexp -exp bench -passes reassoc,moves,place
 //	tcexp -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
 //	tcexp -list-passes
 //
@@ -39,14 +37,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment id: "+strings.Join(tcsim.ExperimentIDs(), ", ")+", '"+tcsim.PoliciesExperimentID+"', '"+tcsim.SamplingExperimentID+"', 'all', or 'bench'")
+		exp      = fs.String("exp", "all", "experiment id: "+strings.Join(tcsim.ExperimentIDs(), ", ")+", '"+tcsim.PoliciesExperimentID+"', '"+tcsim.SamplingExperimentID+"', or 'all'")
 		insts    = fs.Uint64("insts", 200_000, "retired-instruction budget per simulation (0 = workload defaults); for -exp sampling this sets the validation budget (default 2M)")
 		budget   = fs.Uint64("budget", 0, "headline instruction budget for the -exp sampling sweep (0 = 50M); sampled timing makes it near-free")
 		sample   = fs.String("sample", "", "sampling plan for -exp sampling: 'period,window,warmup' (default: the per-budget auto plan)")
-		benchOut = fs.String("bench-out", "BENCH_sweep.json", "output path for -exp bench")
-		passes   = fs.String("passes", "", "pass pipeline for the -exp bench sweep (default: the paper's combined configuration); figures always use their defined variants")
-		tcPolicy = fs.String("tc-policy", "", "trace-cache replacement policy for the -exp bench sweep (default "+tcsim.DefaultPolicy()+"; see -list-policies); the policies figure always sweeps all of them")
-		icPolicy = fs.String("ic-policy", "", "L1 instruction-cache replacement policy for the -exp bench sweep (default "+tcsim.DefaultPolicy()+")")
 		listPass = fs.Bool("list-passes", false, "list registered optimization passes and exit")
 		listPol  = fs.Bool("list-policies", false, "list registered cache replacement policies and exit")
 		progress = fs.Bool("progress", false, "emit structured per-figure/per-workload progress lines to stderr")
@@ -82,32 +76,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !validExperiment(*exp) {
-		return usagef("unknown experiment %q (valid: %s, all, bench)",
+		return usagef("unknown experiment %q (valid: %s, all)",
 			*exp, strings.Join(tcsim.ExperimentIDs(), ", "))
-	}
-
-	var spec []string
-	if *passes != "" {
-		for _, p := range strings.Split(*passes, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				spec = append(spec, p)
-			}
-		}
-		if err := tcsim.ValidatePassSpec(spec); err != nil {
-			return usagef("%v", err)
-		}
-		if *exp != "bench" {
-			return usagef("-passes only applies to -exp bench; figures reproduce their defined variants")
-		}
-	}
-
-	for _, p := range []string{*tcPolicy, *icPolicy} {
-		if err := tcsim.ValidatePolicy(p); err != nil {
-			return usagef("%v", err)
-		}
-	}
-	if (*tcPolicy != "" || *icPolicy != "") && *exp != "bench" {
-		return usagef("-tc-policy/-ic-policy only apply to -exp bench; the %q figure sweeps every registered policy", tcsim.PoliciesExperimentID)
 	}
 
 	var plan tcsim.SamplingConfig
@@ -140,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// -progress logs to stderr so piped/captured stdout stays exactly
-	// the figures (or bench table).
+	// the figures.
 	logDst := io.Discard
 	if *progress {
 		logDst = stderr
@@ -148,8 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	logger := slog.New(slog.NewTextHandler(logDst, nil))
 
 	switch *exp {
-	case "bench":
-		err = runBench(stdout, logger, *insts, *benchOut, spec, *tcPolicy, *icPolicy)
 	case tcsim.SamplingExperimentID:
 		err = runSampling(stdout, logger, valInsts, *budget, plan)
 	default:
@@ -169,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // The policy lab is valid standalone but not part of "all" (it is this
 // simulator's extension, not a paper figure).
 func validExperiment(id string) bool {
-	if id == "all" || id == "bench" || id == tcsim.PoliciesExperimentID || id == tcsim.SamplingExperimentID {
+	if id == "all" || id == tcsim.PoliciesExperimentID || id == tcsim.SamplingExperimentID {
 		return true
 	}
 	for _, known := range tcsim.ExperimentIDs() {
@@ -222,11 +190,6 @@ func runSampling(stdout io.Writer, logger *slog.Logger, valInsts, budget uint64,
 		"wall", time.Since(t0).Round(time.Millisecond), "simulations", suite.Simulations())
 	fmt.Fprintln(stdout, out)
 	return nil
-}
-
-// secs rounds a duration to milliseconds for stable JSON output.
-func secs(d time.Duration) float64 {
-	return float64(d.Round(time.Millisecond)) / float64(time.Second)
 }
 
 // listPolicies prints the replacement-policy registry (-list-policies;

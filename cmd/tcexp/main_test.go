@@ -7,8 +7,9 @@ import (
 )
 
 // TestBadFlagsExitNonZero covers tcexp's validation exit paths: bad
-// experiment ids and bad pass specs must exit non-zero with the error
-// on stderr and a usage hint, before any simulation starts.
+// experiment ids, unknown flags and misplaced or malformed sampling
+// plans must exit non-zero with the error on stderr and a usage hint,
+// before any simulation starts.
 func TestBadFlagsExitNonZero(t *testing.T) {
 	cases := []struct {
 		name string
@@ -16,10 +17,8 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		want string
 	}{
 		{"unknown experiment", []string{"-exp", "fig99"}, "unknown experiment"},
-		{"unknown pass", []string{"-exp", "bench", "-passes", "bogus"}, "unknown pass"},
-		{"passes on figures", []string{"-exp", "fig3", "-passes", "moves"}, "only applies to -exp bench"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
-		{"budget without sampling", []string{"-exp", "bench", "-budget", "1000000"}, "only apply to -exp sampling"},
+		{"budget without sampling", []string{"-exp", "fig3", "-budget", "1000000"}, "only apply to -exp sampling"},
 		{"sample without sampling", []string{"-exp", "fig3", "-sample", "auto"}, "only apply to -exp sampling"},
 		{"malformed sample plan", []string{"-exp", "sampling", "-sample", "50000,oops,5000"}, "period,window,warmup"},
 		{"short sample plan", []string{"-exp", "sampling", "-sample", "50000,5000"}, "period,window,warmup"},

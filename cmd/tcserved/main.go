@@ -19,8 +19,7 @@
 //	GET  /v1/traces/{sha}    content-addressed trace CDN export (also HEAD)
 //	GET  /healthz            liveness
 //	GET  /healthz/ready      readiness (503 once draining starts)
-//	GET  /metrics            Prometheus text-format exposition
-//	GET  /metrics.json       the same counters as a JSON snapshot
+//	GET  /metrics            every counter, as a Prometheus text-format exposition
 //	GET  /debug/spans        recent request spans (?trace=<request-id> filters)
 //	GET  /debug/flight       flight recorder: recent spans + job-lifecycle events
 //	GET  /debug/trace/{id}   merged Chrome trace for a job: spans over cycles

@@ -19,6 +19,17 @@ import (
 	"tcsim/internal/server"
 )
 
+// Exposition sample names the checks and the summary line read.
+const (
+	sampleCacheHits   = `tcserved_cache_requests_total{result="hit"}`
+	sampleCacheMisses = `tcserved_cache_requests_total{result="miss"}`
+	sampleCaptures    = "tcserved_tracestore_captures_total"
+	sampleReplays     = "tcserved_tracestore_replay_hits_total"
+	sampleWindows     = "tcserved_sampling_windows_total"
+	sampleFFwd        = `tcserved_sampling_insts_total{mode="ffwd"}`
+	sampleRestores    = "tcserved_sampling_checkpoint_restores_total"
+)
+
 // selfcheckWorkloads keeps the check fast while still mixing control
 // flow: pointer-chasing, integer-heavy and branchy benchmarks.
 var selfcheckWorkloads = []string{"m88ksim", "compress", "li", "go", "ijpeg", "gcc"}
@@ -217,29 +228,28 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 	met, err := cl.Metrics(ctx)
 	if err != nil {
 		fails.failf("metrics: %v", err)
-		met = &client.Metrics{}
 	}
-	if met.CacheHits == 0 {
+	if met[sampleCacheHits] == 0 {
 		fails.failf("cache hit counter is zero after %d submissions of %d unique configs", jobs, len(unique))
 	}
-	if met.CacheMisses > uint64(len(unique)+polUnique) {
-		fails.failf("%d cache misses for %d unique configs: canonical hashing is splitting identical jobs",
-			met.CacheMisses, len(unique)+polUnique)
+	if misses := met[sampleCacheMisses]; misses > float64(len(unique)+polUnique) {
+		fails.failf("%v cache misses for %d unique configs: canonical hashing is splitting identical jobs",
+			misses, len(unique)+polUnique)
 	}
-	if met.JobsCompleted < uint64(jobs) {
-		fails.failf("jobs_completed %d < submitted %d", met.JobsCompleted, jobs)
+	if done := met[`tcserved_jobs_total{event="completed"}`]; done < float64(jobs) {
+		fails.failf("jobs_completed %v < submitted %d", done, jobs)
 	}
 
-	// Observability phase: the Prometheus exposition must parse, agree
-	// with the JSON snapshot, stay monotone across scrapes, and request
-	// IDs must round-trip through both raw HTTP and the client.
-	checkObservability(ctx, cl, met, &fails)
+	// Observability phase: the Prometheus exposition must parse, carry
+	// the trace store's exact counts, stay monotone across scrapes, and
+	// request IDs must round-trip through both raw HTTP and the client.
+	checkObservability(ctx, cl, &fails)
 
 	// Sampled-timing phase: warm-mode and seek-mode sampled jobs must be
 	// bit-for-bit a direct run's, and the sampling counters must surface
-	// in both metrics views. Runs after the observability phase because
-	// its seek job uses a fresh (workload, budget) pair, which would
-	// break that phase's exact capture-count assertion.
+	// on /metrics. Runs after the observability phase because its seek
+	// job uses a fresh (workload, budget) pair, which would break that
+	// phase's exact capture-count assertion.
 	samp := checkSampling(ctx, cl, insts, &fails)
 
 	if err := shutdown(ctx); err != nil {
@@ -298,10 +308,11 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 			"trace store %d captures / %d replays; "+
 			"sampling %d windows, %d insts fast-forwarded, %d checkpoint restores; "+
 			"%d/6 saturation submissions rejected with 429; %.1fs\n",
-		jobs, len(unique), met.CacheHits, met.CacheMisses, met.DedupJoins,
+		jobs, len(unique), int(met[sampleCacheHits]), int(met[sampleCacheMisses]),
+		int(met[`tcserved_cache_requests_total{result="join"}`]),
 		sweep.Cells, sweep.Simulations,
-		met.TraceStore.Captures, met.TraceStore.ReplayHits,
-		samp.Windows, samp.InstsFFwd, samp.CheckpointRestores,
+		int(met[sampleCaptures]), int(met[sampleReplays]),
+		int(samp[sampleWindows]), int(samp[sampleFFwd]), int(samp[sampleRestores]),
 		rejected, time.Since(t0).Seconds())
 	return 0
 }
@@ -311,10 +322,10 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 // above tracestore.FullCaptureLimit (checkpoint-log oracle, so seeks
 // must restore capture-time checkpoints instead of re-emulating the
 // whole gap). Both must match a direct run of the resolved config
-// bit-for-bit, and the aggregated sampling counters must agree between
-// /metrics.json and the Prometheus exposition. Returns the final
-// sampling aggregates for the summary line (zero-valued on failure).
-func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *checkFailure) client.SamplingMetrics {
+// bit-for-bit, and every sampling counter on /metrics must be non-zero.
+// Returns the final /metrics samples for the summary line (nil on
+// failure).
+func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *checkFailure) map[string]float64 {
 	warm := client.JobRequest{Workload: "m88ksim", Insts: insts,
 		SamplePeriod: insts / 4, SampleWindow: insts / 20, SampleWarmup: insts / 20}
 	// The seek job's budget must exceed the full-capture limit so the
@@ -328,16 +339,16 @@ func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *
 		dcfg, key, err := server.ResolveConfig(&req, server.Limits{})
 		if err != nil {
 			fails.failf("sampling phase: resolve (seek=%v): %v", req.SampleSeek, err)
-			return client.SamplingMetrics{}
+			return nil
 		}
 		expected, err := tcsim.RunWorkload(dcfg, req.Workload)
 		if err != nil {
 			fails.failf("sampling phase: direct run (seek=%v): %v", req.SampleSeek, err)
-			return client.SamplingMetrics{}
+			return nil
 		}
 		if expected.Sampled == nil || expected.Sampled.Windows == 0 {
 			fails.failf("sampling phase: direct run (seek=%v) produced no sampled windows", req.SampleSeek)
-			return client.SamplingMetrics{}
+			return nil
 		}
 		if req.SampleSeek && expected.Sampled.CheckpointRestores == 0 {
 			fails.failf("sampling phase: seek-mode run above the full-capture limit restored no checkpoints: %+v",
@@ -346,7 +357,7 @@ func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *
 		job, err := cl.SubmitJob(ctx, &req)
 		if err != nil {
 			fails.failf("sampling phase: submit (seek=%v): %v", req.SampleSeek, err)
-			return client.SamplingMetrics{}
+			return nil
 		}
 		if job.Key != key {
 			fails.failf("sampling phase: server key %s != client-computed key %s", job.Key, key)
@@ -360,48 +371,15 @@ func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *
 	met, err := cl.Metrics(ctx)
 	if err != nil {
 		fails.failf("sampling phase: metrics: %v", err)
-		return client.SamplingMetrics{}
+		return nil
 	}
-	s := met.Sampling
-	if s.Windows == 0 || s.InstsFFwd == 0 || s.InstsSkipped == 0 || s.Seeks == 0 || s.CheckpointRestores == 0 {
-		fails.failf("sampling aggregates incomplete after warm+seek jobs: %+v", s)
-	}
-
-	// The exposition must carry the same counters.
-	resp, err := http.Get(cl.Base() + "/metrics")
-	if err != nil {
-		fails.failf("sampling phase: GET /metrics: %v", err)
-		return s
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fails.failf("sampling phase: read /metrics: %v", err)
-		return s
-	}
-	samples, err := obs.ParseExposition(body)
-	if err != nil {
-		fails.failf("sampling phase: parse /metrics: %v", err)
-		return s
-	}
-	for _, c := range []struct {
-		sample string
-		want   float64
-	}{
-		{"tcserved_sampling_windows_total", float64(s.Windows)},
-		{`tcserved_sampling_insts_total{mode="ffwd"}`, float64(s.InstsFFwd)},
-		{`tcserved_sampling_insts_total{mode="skipped"}`, float64(s.InstsSkipped)},
-		{"tcserved_sampling_seeks_total", float64(s.Seeks)},
-		{"tcserved_sampling_checkpoint_restores_total", float64(s.CheckpointRestores)},
-	} {
-		got, ok := samples[c.sample]
-		if !ok {
-			fails.failf("/metrics is missing sample %s", c.sample)
-		} else if got != c.want {
-			fails.failf("/metrics %s = %v, but /metrics.json reports %v", c.sample, got, c.want)
+	for _, name := range []string{sampleWindows, sampleFFwd, `tcserved_sampling_insts_total{mode="skipped"}`,
+		"tcserved_sampling_seeks_total", sampleRestores} {
+		if met[name] == 0 {
+			fails.failf("sampling aggregate %s is zero after warm+seek jobs", name)
 		}
 	}
-	return s
+	return met
 }
 
 // checkPolicies is the replacement-policy phase: GET /v1/policies must
@@ -491,12 +469,13 @@ func checkPolicies(ctx context.Context, cl *client.Client, insts uint64, fails *
 
 // checkObservability validates the daemon's observability surface:
 // GET /metrics serves a parseable Prometheus exposition with the right
-// Content-Type whose counters match the JSON snapshot and never move
-// backwards between scrapes, histograms are internally coherent (the
-// parser enforces bucket monotonicity and +Inf == _count), and the
-// X-Request-ID a caller pins round-trips through the response header —
-// including onto APIError for failing calls.
-func checkObservability(ctx context.Context, cl *client.Client, met *client.Metrics, fails *checkFailure) {
+// Content-Type whose counters never move backwards between scrapes,
+// histograms are populated and internally coherent (the parser enforces
+// bucket monotonicity and +Inf == _count), the trace store's counters
+// show capture-once/replay-many exactly, and the X-Request-ID a caller
+// pins round-trips through the response header — including onto
+// APIError for failing calls.
+func checkObservability(ctx context.Context, cl *client.Client, fails *checkFailure) {
 	scrape := func() map[string]float64 {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.Base()+"/metrics", nil)
 		if err != nil {
@@ -532,24 +511,6 @@ func checkObservability(ctx context.Context, cl *client.Client, met *client.Metr
 	if m1 == nil {
 		return
 	}
-	// Exposition and JSON snapshot must be two views of one counter set.
-	crossChecks := []struct {
-		sample string
-		want   float64
-	}{
-		{`tcserved_jobs_total{event="completed"}`, float64(met.JobsCompleted)},
-		{`tcserved_cache_requests_total{result="hit"}`, float64(met.CacheHits)},
-		{`tcserved_cache_requests_total{result="miss"}`, float64(met.CacheMisses)},
-		{`tcserved_sim_insts_total`, float64(met.SimInsts)},
-	}
-	for _, c := range crossChecks {
-		got, ok := m1[c.sample]
-		if !ok {
-			fails.failf("/metrics is missing sample %s", c.sample)
-		} else if got != c.want {
-			fails.failf("/metrics %s = %v, but /metrics.json reports %v", c.sample, got, c.want)
-		}
-	}
 	// The storm executed simulations and finalized segments, so the
 	// latency and distribution histograms cannot be empty.
 	for _, h := range []string{"tcserved_job_duration_seconds", "tcserved_segment_length_insts",
@@ -564,44 +525,29 @@ func checkObservability(ctx context.Context, cl *client.Client, met *client.Metr
 	// captured exactly once and every repeat config served by replay. The
 	// direct reference runs bypass the store (tcsim.Run takes a Program),
 	// so they must not inflate the capture count.
-	ts := met.TraceStore
-	if want := uint64(len(selfcheckWorkloads)); ts.Captures != want {
-		fails.failf("trace store captured %d streams, want exactly %d (one per workload at the shared budget)",
-			ts.Captures, want)
+	captures, replays := m1[sampleCaptures], m1[sampleReplays]
+	if want := float64(len(selfcheckWorkloads)); captures != want {
+		fails.failf("trace store captured %v streams, want exactly %v (one per workload at the shared budget)",
+			captures, want)
 	}
-	if ts.ReplayHits < ts.Captures {
-		fails.failf("trace store replay hits %d < captures %d: repeat configs are re-emulating instead of replaying",
-			ts.ReplayHits, ts.Captures)
+	if replays < captures {
+		fails.failf("trace store replay hits %v < captures %v: repeat configs are re-emulating instead of replaying",
+			replays, captures)
 	}
-	if ts.ResidentTraces != len(selfcheckWorkloads) || ts.Evictions != 0 {
-		fails.failf("trace store holds %d traces with %d evictions, want %d resident and none evicted",
-			ts.ResidentTraces, ts.Evictions, len(selfcheckWorkloads))
+	resident, evictions := m1["tcserved_tracestore_resident_traces"], m1["tcserved_tracestore_evictions_total"]
+	if resident != float64(len(selfcheckWorkloads)) || evictions != 0 {
+		fails.failf("trace store holds %v traces with %v evictions, want %d resident and none evicted",
+			resident, evictions, len(selfcheckWorkloads))
 	}
-	if ts.Captures > 0 && ts.CaptureSecs <= 0 {
-		fails.failf("trace store reports %d captures but %v capture seconds", ts.Captures, ts.CaptureSecs)
+	if secs := m1["tcserved_tracestore_capture_seconds_total"]; captures > 0 && secs <= 0 {
+		fails.failf("trace store reports %v captures but %v capture seconds", captures, secs)
 	}
-	if ts.DiskLoads != 0 || ts.DiskSaves != 0 || ts.DiskRejects != 0 {
-		fails.failf("trace store shows disk traffic (loads %d, saves %d, rejects %d) with no -tracedir",
-			ts.DiskLoads, ts.DiskSaves, ts.DiskRejects)
-	}
-	tsChecks := []struct {
-		sample string
-		want   float64
-	}{
-		{"tcserved_tracestore_captures_total", float64(ts.Captures)},
-		{"tcserved_tracestore_replay_hits_total", float64(ts.ReplayHits)},
-		{"tcserved_tracestore_evictions_total", float64(ts.Evictions)},
-		{"tcserved_tracestore_resident_traces", float64(ts.ResidentTraces)},
-		{`tcserved_tracestore_disk_total{outcome="load"}`, float64(ts.DiskLoads)},
-		{`tcserved_tracestore_disk_total{outcome="save"}`, float64(ts.DiskSaves)},
-		{`tcserved_tracestore_disk_total{outcome="reject"}`, float64(ts.DiskRejects)},
-	}
-	for _, c := range tsChecks {
-		got, ok := m1[c.sample]
-		if !ok {
-			fails.failf("/metrics is missing sample %s", c.sample)
-		} else if got != c.want {
-			fails.failf("/metrics %s = %v, but /metrics.json reports %v", c.sample, got, c.want)
+	for _, o := range []string{"load", "save", "reject"} {
+		name := `tcserved_tracestore_disk_total{outcome="` + o + `"}`
+		if v, ok := m1[name]; !ok {
+			fails.failf("/metrics is missing sample %s", name)
+		} else if v != 0 {
+			fails.failf("trace store shows %v disk %ss with no -tracedir", v, o)
 		}
 	}
 

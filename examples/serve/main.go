@@ -1,7 +1,7 @@
 // Example serve: run tcserved in-process and drive it with the Go
 // client — submit a job synchronously, poll an async job, dedupe a
 // repeated config against the result cache, fan out a sweep, and read
-// the metrics counters.
+// the counters from the daemon's /metrics exposition.
 package main
 
 import (
@@ -86,8 +86,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("metrics: %d accepted, %d cache hits, %d misses, %.0f sim-inst/s busy throughput\n",
-		met.JobsAccepted, met.CacheHits, met.CacheMisses, met.SimInstsPerSec)
+	// Busy throughput is a ratio of two counters: simulated instructions
+	// over the wall time the simulations took.
+	fmt.Printf("metrics: %.0f accepted, %.0f cache hits, %.0f misses, %.0f sim-inst/s busy throughput\n",
+		met[`tcserved_jobs_total{event="accepted"}`],
+		met[`tcserved_cache_requests_total{result="hit"}`],
+		met[`tcserved_cache_requests_total{result="miss"}`],
+		met["tcserved_sim_insts_total"]/met["tcserved_sim_busy_seconds_total"])
 
 	shCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()

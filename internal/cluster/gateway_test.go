@@ -105,12 +105,13 @@ func TestGatewayJobAffinity(t *testing.T) {
 	}
 
 	// Same config again: must route to the same node and hit its cache.
-	before := mustMetrics(t, nodes[owner]).CacheHits
+	const hits = `tcserved_cache_requests_total{result="hit"}`
+	before := mustMetrics(t, nodes[owner])[hits]
 	if _, err := cl.SubmitJob(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if after := mustMetrics(t, nodes[owner]).CacheHits; after != before+1 {
-		t.Fatalf("owner cache hits %d -> %d, want +1 (affinity broken?)", before, after)
+	if after := mustMetrics(t, nodes[owner])[hits]; after != before+1 {
+		t.Fatalf("owner cache hits %v -> %v, want +1 (affinity broken?)", before, after)
 	}
 
 	// Async: the prefixed ID round-trips through GET /v1/jobs/{id}.
@@ -366,13 +367,29 @@ func TestGatewayPromotion(t *testing.T) {
 
 // TestGatewayMetricsExposition: the aggregated /metrics endpoint parses
 // as valid Prometheus text and carries both gateway counters and
-// node-labeled families.
+// node-labeled families, each row equal to the node's own sample.
 func TestGatewayMetricsExposition(t *testing.T) {
-	_, gts, _ := testCluster(t, 2)
+	_, gts, nodes := testCluster(t, 2)
 	ctx := context.Background()
 	cl := client.New(gts.URL)
-	if _, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "compress", Insts: testInsts}); err != nil {
-		t.Fatal(err)
+	// Five gateway submissions of one config, then two other configs of
+	// the same workload straight to its owner, leave the owner with
+	// distinct counts (hits 4, misses 3, replays 2, captures 1), so a row
+	// read from the wrong sample shows up as a mismatch below.
+	req := &client.JobRequest{Workload: "compress", Insts: testInsts}
+	var owner int
+	for i := 0; i < 5; i++ {
+		job, err := cl.SubmitJob(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, _, _ = splitID(job.ID)
+	}
+	for _, cfg := range []client.JobRequest{{Preset: client.PresetAll}, {Passes: []string{"moves"}}} {
+		cfg.Workload, cfg.Insts = req.Workload, req.Insts
+		if _, err := client.New(nodes[owner].ts.URL).SubmitJob(ctx, &cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	resp, err := http.Get(gts.URL + "/metrics")
@@ -394,8 +411,8 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	if got := samples[`tcgate_nodes_healthy`]; got != 2 {
 		t.Errorf("tcgate_nodes_healthy = %v, want 2", got)
 	}
-	if got := samples[`tcgate_jobs_proxied_total{outcome="ok"}`]; got != 1 {
-		t.Errorf(`jobs_proxied{ok} = %v, want 1`, got)
+	if got := samples[`tcgate_jobs_proxied_total{outcome="ok"}`]; got != 5 {
+		t.Errorf(`jobs_proxied{ok} = %v, want 5`, got)
 	}
 	for _, want := range []string{
 		`tcgate_node_up{node="node0"}`,
@@ -412,6 +429,44 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		samples[`tcgate_node_tracestore_total{node="node1",outcome="capture"}`]
 	if captures != 1 {
 		t.Errorf("cluster-wide captures = %v, want exactly 1", captures)
+	}
+
+	// Every per-node row is the node's own sample under a node label.
+	// Nothing runs between the gateway's scrape and these, so the
+	// values must match exactly.
+	nodeSamples := []struct{ row, sample string }{
+		{"tcgate_node_queue_depth{%s}", "tcserved_queue_depth"},
+		{"tcgate_node_in_flight{%s}", "tcserved_jobs_in_flight"},
+		{`tcgate_node_cache_total{%s,outcome="hit"}`, `tcserved_cache_requests_total{result="hit"}`},
+		{`tcgate_node_cache_total{%s,outcome="miss"}`, `tcserved_cache_requests_total{result="miss"}`},
+		{`tcgate_node_tracestore_total{%s,outcome="capture"}`, "tcserved_tracestore_captures_total"},
+		{`tcgate_node_tracestore_total{%s,outcome="replay"}`, "tcserved_tracestore_replay_hits_total"},
+		{`tcgate_node_tracestore_total{%s,outcome="disk_load"}`, `tcserved_tracestore_disk_total{outcome="load"}`},
+		{`tcgate_node_tracestore_total{%s,outcome="cdn_serve"}`, `tcserved_tracestore_cdn_total{outcome="serve"}`},
+		{`tcgate_node_tracestore_total{%s,outcome="cdn_fetch"}`, `tcserved_tracestore_cdn_total{outcome="fetch"}`},
+		{`tcgate_node_tracestore_total{%s,outcome="cdn_reject"}`, `tcserved_tracestore_cdn_total{outcome="reject"}`},
+	}
+	premise := mustMetrics(t, nodes[owner])
+	for sample, want := range map[string]float64{
+		`tcserved_cache_requests_total{result="hit"}`:  4,
+		`tcserved_cache_requests_total{result="miss"}`: 3,
+		"tcserved_tracestore_replay_hits_total":        2,
+		"tcserved_tracestore_captures_total":           1,
+	} {
+		if premise[sample] != want {
+			t.Errorf("owner %s = %v, want %v", sample, premise[sample], want)
+		}
+	}
+	for _, n := range nodes {
+		own := mustMetrics(t, n)
+		for _, ns := range nodeSamples {
+			row := fmt.Sprintf(ns.row, `node="`+n.name+`"`)
+			got, ok := samples[row]
+			want, wok := own[ns.sample]
+			if !ok || !wok || got != want {
+				t.Errorf("%s = %v (present %v), node's own %s = %v (present %v)", row, got, ok, ns.sample, want, wok)
+			}
+		}
 	}
 }
 
@@ -430,7 +485,7 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 }
 
-func mustMetrics(t *testing.T, n *testNode) *client.Metrics {
+func mustMetrics(t *testing.T, n *testNode) map[string]float64 {
 	t.Helper()
 	m, err := client.New(n.ts.URL).Metrics(context.Background())
 	if err != nil {

@@ -110,10 +110,14 @@ func TestTinyWindowConfig(t *testing.T) {
 	}
 }
 
-// TestNarrowClusterConfigs sweeps cluster organizations.
+// TestNarrowClusterConfigs sweeps cluster organizations, including ones
+// with fewer functional units than the fetch width (2x1, 1x1), whose
+// instruction-cache fetch groups must fold slots onto the available
+// units. runSim checks retired count and output against the functional
+// emulator.
 func TestNarrowClusterConfigs(t *testing.T) {
 	p := buildProgram(t, simpleLoop(300))
-	for _, org := range []struct{ c, f int }{{1, 16}, {2, 8}, {8, 2}, {16, 1}} {
+	for _, org := range []struct{ c, f int }{{1, 16}, {2, 8}, {8, 2}, {16, 1}, {2, 1}, {1, 1}} {
 		cfg := DefaultConfig()
 		cfg.Exec.Clusters, cfg.Exec.FUsPerCluster = org.c, org.f
 		cfg.Fill.Clusters, cfg.Fill.FUsPerCluster = org.c, org.f

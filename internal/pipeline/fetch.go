@@ -334,7 +334,7 @@ func (s *Simulator) buildICGroup(pc uint32, c uint64) *fetchGroup {
 		}
 		in := s.decodeAt(next)
 		u := s.newUOp(next, in, in)
-		u.FU = len(g.uops)
+		u.FU = len(g.uops) % s.eng.FUs()
 		u.IsBranch = in.Op.IsControl()
 		s.markOracle(u, &s.fetchOnPath)
 		stop := false

@@ -143,8 +143,8 @@ func TestTraceCDNEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TraceStore.CDNServes != 1 {
-		t.Fatalf("metrics cdn_serves = %d, want 1", m.TraceStore.CDNServes)
+	if got := m[`tcserved_tracestore_cdn_total{outcome="serve"}`]; got != 1 {
+		t.Fatalf("metrics cdn serves = %v, want 1", got)
 	}
 	_ = srv
 }

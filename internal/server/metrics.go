@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tcsim"
-	"tcsim/client"
 	"tcsim/internal/obs"
 )
 
@@ -81,6 +80,12 @@ type metrics struct {
 type reuseAgg struct {
 	lines uint64
 	hits  uint64
+}
+
+// reuseRow is one reuse class's aggregate as reuseSnapshot reports it.
+type reuseRow struct {
+	class string
+	reuseAgg
 }
 
 func newMetrics() *metrics {
@@ -179,13 +184,12 @@ func (m *metrics) passSnapshot() []tcsim.PassStat {
 // reuseSnapshot copies the per-class reuse aggregates in first-seen
 // order (results list classes in canonical order, so first-seen matches
 // it).
-func (m *metrics) reuseSnapshot() []client.ReuseClassMetrics {
+func (m *metrics) reuseSnapshot() []reuseRow {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]client.ReuseClassMetrics, 0, len(m.reuseOrder))
+	out := make([]reuseRow, 0, len(m.reuseOrder))
 	for _, label := range m.reuseOrder {
-		agg := m.reuse[label]
-		out = append(out, client.ReuseClassMetrics{Class: label, Lines: agg.lines, Hits: agg.hits})
+		out = append(out, reuseRow{class: label, reuseAgg: *m.reuse[label]})
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -96,24 +95,6 @@ func TestPrometheusExposition(t *testing.T) {
 		} else if v2 < v1 {
 			t.Errorf("counter %s moved backwards: %v -> %v", name, v1, v2)
 		}
-	}
-
-	// The JSON snapshot lives on at /metrics.json with the same numbers.
-	jresp, err := http.Get(cl.Base() + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/metrics.json Content-Type %q, want application/json", ct)
-	}
-	var met client.Metrics
-	if err := json.NewDecoder(jresp.Body).Decode(&met); err != nil {
-		t.Fatalf("/metrics.json: %v", err)
-	}
-	if met.JobsCompleted != 2 || met.CacheHitRatio != 0.5 {
-		t.Errorf("JSON snapshot completed=%d hit_ratio=%v, want 2/0.5",
-			met.JobsCompleted, met.CacheHitRatio)
 	}
 }
 

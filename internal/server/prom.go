@@ -8,10 +8,11 @@ import (
 )
 
 // handlePrometheus implements GET /metrics in the Prometheus text
-// exposition format (version 0.0.4). The same counters remain available
-// as JSON on GET /metrics.json. The exposition is written through the
-// dependency-free obs.Expo writer; obs.ParseExposition (used by the
-// tests and tcserved -selfcheck) validates exactly this output.
+// exposition format (version 0.0.4), the daemon's only counter surface.
+// The exposition is written through the dependency-free obs.Expo
+// writer; obs.ParseExposition (used by (*client.Client).Metrics, the
+// cluster gateway's node scrape, the tests and tcserved -selfcheck)
+// validates exactly this output.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ExpoContentType)
 	m := s.engine.met
@@ -71,12 +72,14 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		tch := make([]obs.LabeledValue, 0, len(passes))
 		rew := make([]obs.LabeledValue, 0, len(passes))
 		edg := make([]obs.LabeledValue, 0, len(passes))
+		sec := make([]obs.LabeledValue, 0, len(passes))
 		for _, ps := range passes {
 			l := [][2]string{{"pass", ps.Name}}
 			seg = append(seg, obs.LabeledValue{Labels: l, Value: float64(ps.Segments)})
 			tch = append(tch, obs.LabeledValue{Labels: l, Value: float64(ps.Touched)})
 			rew = append(rew, obs.LabeledValue{Labels: l, Value: float64(ps.Rewritten)})
 			edg = append(edg, obs.LabeledValue{Labels: l, Value: float64(ps.EdgesRemoved)})
+			sec = append(sec, obs.LabeledValue{Labels: l, Value: time.Duration(ps.Nanos).Seconds()})
 		}
 		e.CounterVec("tcserved_pass_segments_total",
 			"Segments processed per optimization pass across executed jobs.", seg)
@@ -86,6 +89,8 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 			"Instructions rewritten or annotated per optimization pass.", rew)
 		e.CounterVec("tcserved_pass_edges_removed_total",
 			"Dependency edges removed per optimization pass.", edg)
+		e.CounterVec("tcserved_pass_seconds_total",
+			"Wall time spent in each optimization pass (non-zero only for time_passes jobs).", sec)
 	}
 
 	reuse := m.reuseSnapshot()
@@ -93,9 +98,9 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		lines := make([]obs.LabeledValue, 0, len(reuse))
 		hits := make([]obs.LabeledValue, 0, len(reuse))
 		for _, rc := range reuse {
-			l := [][2]string{{"class", rc.Class}}
-			lines = append(lines, obs.LabeledValue{Labels: l, Value: float64(rc.Lines)})
-			hits = append(hits, obs.LabeledValue{Labels: l, Value: float64(rc.Hits)})
+			l := [][2]string{{"class", rc.class}}
+			lines = append(lines, obs.LabeledValue{Labels: l, Value: float64(rc.lines)})
+			hits = append(hits, obs.LabeledValue{Labels: l, Value: float64(rc.hits)})
 		}
 		e.CounterVec("tcserved_trace_reuse_lines_total",
 			"Trace-cache line generations retired, decanted by segment shape (mix x loop-back).", lines)
@@ -122,7 +127,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		"Seeks that restored architectural state from a capture-time checkpoint.",
 		float64(m.sampRestores.Load()))
 
-	ts := s.traceStoreMetrics()
+	ts := s.traceStore().Stats()
 	e.Counter("tcserved_tracestore_captures_total",
 		"Correct-path streams captured into the trace store (emulated or disk-loaded).",
 		float64(ts.Captures))
@@ -137,7 +142,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	e.Gauge("tcserved_tracestore_resident_traces",
 		"Captured streams resident right now.", float64(ts.ResidentTraces))
 	e.Counter("tcserved_tracestore_capture_seconds_total",
-		"Cumulative wall time spent emulating captures.", ts.CaptureSecs)
+		"Cumulative wall time spent emulating captures.", time.Duration(ts.CaptureNanos).Seconds())
 	e.CounterVec("tcserved_tracestore_disk_total",
 		"On-disk trace directory traffic by outcome (zero without -tracedir).",
 		[]obs.LabeledValue{

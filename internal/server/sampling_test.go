@@ -122,8 +122,10 @@ func TestEndToEndSampledJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := met.Sampling
-	if s.Windows == 0 || s.InstsFFwd == 0 || s.Seeks == 0 {
-		t.Errorf("sampling metrics not aggregated: %+v", s)
+	for _, name := range []string{"tcserved_sampling_windows_total",
+		`tcserved_sampling_insts_total{mode="ffwd"}`, "tcserved_sampling_seeks_total"} {
+		if met[name] == 0 {
+			t.Errorf("sampling metrics not aggregated: %s = 0", name)
+		}
 	}
 }

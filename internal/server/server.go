@@ -109,7 +109,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	mux.HandleFunc("GET /debug/spans", s.handleDebugSpans)
 	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
 	mux.HandleFunc("GET /debug/trace/{id}", s.handleDebugTrace)
@@ -478,67 +477,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// handleMetrics implements GET /metrics.json, the JSON counter
-// snapshot (GET /metrics serves the Prometheus exposition).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
-}
-
-// Metrics snapshots the daemon's counters.
-func (s *Server) Metrics() *client.Metrics {
-	m := s.engine.met
-	busy := time.Duration(m.simBusyNanos.Load()).Seconds()
-	insts := m.simInsts.Load()
-	ips := 0.0
-	if busy > 0 {
-		ips = float64(insts) / busy
-	}
-	hits, misses := m.hits.Load(), m.misses.Load()
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
-	return &client.Metrics{
-		UptimeSecs: time.Since(m.start).Seconds(),
-
-		JobsAccepted:  m.accepted.Load(),
-		JobsCompleted: m.completed.Load(),
-		JobsFailed:    m.failed.Load(),
-		JobsRejected:  m.rejected.Load(),
-		CacheHits:     hits,
-		CacheMisses:   misses,
-		DedupJoins:    m.joins.Load(),
-		CacheHitRatio: ratio,
-
-		QueueDepth:   max(m.admitted.Load()-m.inflight.Load(), 0),
-		InFlight:     m.inflight.Load(),
-		CacheEntries: s.engine.CacheLen(),
-
-		SimInsts:       insts,
-		SimBusySecs:    busy,
-		SimInstsPerSec: ips,
-
-		SweepCells:       m.sweepCells.Load(),
-		SweepSimulations: s.sweeps.SimCount(),
-		SweepInFlight:    s.sweeps.InFlight(),
-
-		Passes: m.passSnapshot(),
-
-		TraceReuse: m.reuseSnapshot(),
-		TCBypasses: m.tcBypasses.Load(),
-
-		Sampling: client.SamplingMetrics{
-			Windows:            m.sampWindows.Load(),
-			InstsFFwd:          m.sampFFwd.Load(),
-			InstsSkipped:       m.sampSkipped.Load(),
-			Seeks:              m.sampSeeks.Load(),
-			CheckpointRestores: m.sampRestores.Load(),
-		},
-
-		TraceStore: s.traceStoreMetrics(),
-	}
-}
-
 // traceStore returns the store this server's jobs and trace CDN run
 // against: the engine's own when configured, else the process-wide one.
 func (s *Server) traceStore() *tcsim.TraceStore {
@@ -546,25 +484,4 @@ func (s *Server) traceStore() *tcsim.TraceStore {
 		return st
 	}
 	return tracestore.Shared()
-}
-
-// traceStoreMetrics snapshots the server's trace store for the
-// /metrics.json body (the Prometheus exposition reads the same
-// snapshot).
-func (s *Server) traceStoreMetrics() client.TraceStoreMetrics {
-	ts := s.traceStore().Stats()
-	return client.TraceStoreMetrics{
-		Captures:       ts.Captures,
-		ReplayHits:     ts.ReplayHits,
-		Evictions:      ts.Evictions,
-		ResidentBytes:  ts.ResidentBytes,
-		ResidentTraces: ts.ResidentTraces,
-		CaptureSecs:    time.Duration(ts.CaptureNanos).Seconds(),
-		DiskLoads:      ts.DiskLoads,
-		DiskSaves:      ts.DiskSaves,
-		DiskRejects:    ts.DiskRejects,
-		CDNServes:      ts.CDNServes,
-		CDNFetches:     ts.CDNFetches,
-		CDNRejects:     ts.CDNRejects,
-	}
 }

@@ -100,11 +100,11 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.CacheHits == 0 || met.CacheMisses == 0 || met.JobsCompleted != 3 {
-		t.Errorf("metrics: hits %d misses %d completed %d, want >0, >0, 3",
-			met.CacheHits, met.CacheMisses, met.JobsCompleted)
+	hits, misses := met[`tcserved_cache_requests_total{result="hit"}`], met[`tcserved_cache_requests_total{result="miss"}`]
+	if done := met[`tcserved_jobs_total{event="completed"}`]; hits == 0 || misses == 0 || done != 3 {
+		t.Errorf("metrics: hits %v misses %v completed %v, want >0, >0, 3", hits, misses, done)
 	}
-	if len(met.Passes) == 0 {
+	if _, ok := met[`tcserved_pass_segments_total{pass="moves"}`]; !ok {
 		t.Error("metrics: no per-pass aggregate after an optimized run")
 	}
 }
@@ -191,7 +191,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	// bypass admission. (Nothing cached yet here, so just verify the
 	// counters; the rejection was counted.)
 	met, _ := cl.Metrics(ctx)
-	if met.JobsRejected == 0 {
+	if met[`tcserved_jobs_total{event="rejected"}`] == 0 {
 		t.Error("jobs_rejected counter is zero after a 429")
 	}
 
@@ -351,5 +351,57 @@ func TestPassesAndHealth(t *testing.T) {
 	}
 	if defaults == 0 {
 		t.Error("no default passes reported")
+	}
+}
+
+// TestNarrowClusterJob: a machine with fewer functional units than the
+// fetch width (2 clusters x 1 FU) is a valid job. It must run to done
+// and leave the daemon serving.
+func TestNarrowClusterJob(t *testing.T) {
+	_, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	req := &client.JobRequest{Workload: "li", Insts: 20000, Clusters: 2, FUsPerCluster: 1}
+	job, err := cl.SubmitJobAsync(ctx, req)
+	if err != nil {
+		t.Fatalf("async submit: %v", err)
+	}
+	done, err := cl.WaitJob(ctx, job.ID, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("WaitJob: %v", err)
+	}
+	if done.State != client.StateDone || done.Result == nil || done.Result.Retired != req.Insts {
+		t.Fatalf("narrow-geometry job: state %q, error %q, result %+v", done.State, done.Error, done.Result)
+	}
+	if err := cl.Health(ctx); err != nil {
+		t.Fatalf("healthz after the narrow job: %v", err)
+	}
+	if _, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "m88ksim", Insts: testInsts}); err != nil {
+		t.Fatalf("submit after the narrow job: %v", err)
+	}
+}
+
+// TestPassSecondsMetric: a time_passes job's per-pass wall time reaches
+// /metrics as tcserved_pass_seconds_total, positive for every pass the
+// run applied.
+func TestPassSecondsMetric(t *testing.T) {
+	_, cl := newTestServer(t, Config{})
+	ctx := context.Background()
+	job, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "m88ksim", Insts: testInsts,
+		Preset: client.PresetAll, TimePasses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.Result == nil || len(job.Result.PassStats) == 0 {
+		t.Fatalf("time_passes job reported no passes: %+v", job.Result)
+	}
+	met, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range job.Result.PassStats {
+		name := `tcserved_pass_seconds_total{pass="` + ps.Name + `"}`
+		if got := met[name]; !(got > 0) {
+			t.Errorf("%s = %v, want > 0", name, got)
+		}
 	}
 }

@@ -24,9 +24,9 @@ type TraceStoreStats = tracestore.Stats
 type TraceFetcher = tracestore.Fetcher
 
 // TraceStats snapshots the process-wide trace store every workload run
-// goes through. The serving layer exports these in /metrics, and the
-// benchmark harness diffs them around a run to record whether it was
-// served by capture or replay.
+// goes through. The serving layer exports these in /metrics; diffing
+// two snapshots around a run tells whether it was served by capture or
+// replay.
 func TraceStats() TraceStoreStats { return tracestore.Shared().Stats() }
 
 // SetTraceDir points the process-wide trace store at an on-disk trace

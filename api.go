@@ -9,7 +9,6 @@ import (
 
 	"tcsim/internal/asm"
 	"tcsim/internal/core"
-	"tcsim/internal/emu"
 	"tcsim/internal/experiments"
 	"tcsim/internal/obs"
 	"tcsim/internal/pipeline"
@@ -79,7 +78,7 @@ type PolicyDesc struct {
 	Default bool
 	// Oracle marks policies that consult future knowledge of the
 	// reference stream (the Belady headroom bound). They only run over
-	// captured workload traces (RunWorkload), never live programs.
+	// captured workload traces (RunWorkloadContextIn), never live programs.
 	Oracle bool
 }
 
@@ -129,8 +128,8 @@ type Config struct {
 	// TCPolicy selects the trace cache's replacement policy by registered
 	// name (see Policies; "" = the default, LRU). The "belady" oracle
 	// needs future knowledge of the reference stream and therefore only
-	// runs under RunWorkload (which replays a captured trace); Run rejects
-	// it.
+	// runs under RunWorkloadContextIn (which replays a captured trace);
+	// RunContext rejects it.
 	TCPolicy string
 	// ICPolicy selects the L1 instruction cache's replacement policy
 	// ("" = LRU). Data-side caches always use LRU: the replacement lab
@@ -427,31 +426,28 @@ func resultFrom(st pipeline.Stats, out []byte) Result {
 	}
 }
 
-// Run simulates a program on the configured machine.
-func Run(cfg Config, prog *Program) (Result, error) {
-	return RunContext(context.Background(), cfg, prog)
-}
-
-// RunContext is Run with cancellation: the cycle loop polls ctx
-// periodically and aborts with an error matching both ErrCanceled and
-// the context's own error when it is cancelled or its deadline passes.
-// A completed run is bit-for-bit identical to Run with the same Config.
+// RunContext simulates a program on the configured machine, emulating
+// it live. The cycle loop polls ctx periodically and aborts with an
+// error matching both ErrCanceled and the context's own error when it
+// is cancelled or its deadline passes.
 func RunContext(ctx context.Context, cfg Config, prog *Program) (Result, error) {
-	return runContext(ctx, cfg, prog, nil, nil, 0)
+	return runContext(ctx, cfg, tracestore.RunSource{Prog: prog.p})
 }
 
-// runContext runs the pipeline over prog. When oracle is non-nil the
-// run replays a captured stream instead of emulating live; the two are
-// bit-for-bit identical. future, when non-nil, is the future-reference
-// index oracle replacement policies consult (the captured trace itself);
-// nil rejects oracle policies at construction. captured, when non-zero,
-// is the record count of a capture this run triggered — a cold run — and
-// emits the capture-phase timeline event (warm replays and live runs
-// carry none, so their timelines match each other exactly).
-func runContext(ctx context.Context, cfg Config, prog *Program, oracle emu.Source, future pipeline.FutureIndex, captured uint64) (Result, error) {
+// runContext runs the pipeline over src.Prog, drawing the correct-path
+// stream from src (a replayed capture or live emulation; the two are
+// bit-for-bit identical). src.Future, when set, is the future-reference
+// index oracle replacement policies consult; without it they are
+// rejected at construction. A non-zero src.Captured marks a run that
+// triggered a capture — a cold run — and emits the capture-phase
+// timeline event (warm replays and live runs carry none, so their
+// timelines match each other exactly).
+func runContext(ctx context.Context, cfg Config, src tracestore.RunSource) (Result, error) {
 	pc := cfg.pipelineConfig()
-	pc.Oracle = oracle
-	pc.Future = future
+	pc.Oracle = src.Oracle
+	if src.Future != nil {
+		pc.Future = src.Future
+	}
 	if ctx.Done() != nil {
 		pc.Cancelled = func() bool { return ctx.Err() != nil }
 	}
@@ -459,11 +455,11 @@ func runContext(ctx context.Context, cfg Config, prog *Program, oracle emu.Sourc
 	if cfg.Timeline {
 		rec = obs.NewRecorder(cfg.TimelineEvents)
 		pc.Recorder = rec
-		if captured > 0 {
-			rec.Emit(0, obs.KCapture, captured, cfg.MaxInsts, 0)
+		if src.Captured > 0 {
+			rec.Emit(0, obs.KCapture, src.Captured, cfg.MaxInsts, 0)
 		}
 	}
-	sim, err := pipeline.New(pc, prog.p)
+	sim, err := pipeline.New(pc, src.Prog)
 	if err != nil {
 		return Result{}, err
 	}
@@ -494,66 +490,34 @@ func BuildWorkload(name string) (*Program, error) {
 	return &Program{p: w.Build()}, nil
 }
 
-// RunWorkload builds and runs a bundled benchmark. When cfg.MaxInsts is
-// zero the workload's default instruction budget applies.
-func RunWorkload(cfg Config, name string) (Result, error) {
-	return RunWorkloadContext(context.Background(), cfg, name)
-}
-
-// RunWorkloadContext is RunWorkload with cancellation (see RunContext).
-// Runs go through the process-wide trace store: the first run of a
-// (workload, budget) pair captures the correct-path stream, every later
-// run replays it — bit-for-bit identical, minus the emulation cost.
-func RunWorkloadContext(ctx context.Context, cfg Config, name string) (Result, error) {
-	return RunWorkloadContextIn(ctx, cfg, name, tracestore.Shared())
-}
-
-// RunWorkloadContextIn is RunWorkloadContext against an explicit trace
-// store instead of the process-wide one. Serving layers that host
-// several isolated engines in one process (the cluster selfcheck boots
-// three nodes in-process) give each its own store so "captured once per
-// node" stays observable; a nil store selects the shared one.
+// RunWorkloadContextIn builds and runs a bundled benchmark (see
+// RunContext for cancellation). When cfg.MaxInsts is zero the
+// workload's default instruction budget applies. The run draws its
+// correct-path stream from st: the first run of a (workload, budget)
+// pair captures it, every later run replays it — bit-for-bit identical,
+// minus the emulation cost. st must not be nil.
 func RunWorkloadContextIn(ctx context.Context, cfg Config, name string, st *TraceStore) (Result, error) {
 	w, ok := workload.ByName(name)
 	if !ok {
 		return Result{}, fmt.Errorf("tcsim: unknown workload %q", name)
 	}
 	if st == nil {
-		st = tracestore.Shared()
+		return Result{}, errors.New("tcsim: RunWorkloadContextIn needs a trace store (see NewTraceStore)")
 	}
 	if cfg.MaxInsts == 0 {
 		cfg.MaxInsts = w.DefaultInsts
 	}
-	if cfg.MaxInsts > tracestore.FullCaptureLimit {
-		// The budget is too large to hold a full per-instruction trace in
-		// the store (a 50M-inst trace is ~850MB). Sampled runs stay
-		// feasible: seek mode runs over a checkpoint log (registers +
-		// page deltas only, seekable), warm mode over live emulation.
-		if cfg.Sampling.Enabled() && cfg.Sampling.Seek {
-			if ent, _, err := st.GetCheckpointLog(ctx, name, cfg.MaxInsts); err == nil {
-				src := tracestore.NewCkptSource(ent.Prog, ent.Trace, pipeline.MaxOracleLead(cfg.pipelineConfig()))
-				return runContext(ctx, cfg, &Program{p: ent.Prog}, src, nil, 0)
-			}
-		}
-		return RunContext(ctx, cfg, &Program{p: w.Build()})
+	pc := cfg.pipelineConfig()
+	src, err := st.Source(ctx, name, cfg.MaxInsts, cfg.Sampling.Enabled() && cfg.Sampling.Seek, pipeline.MaxOracleLead(pc))
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.MaxInsts > 0 {
-		if ent, outcome, err := st.GetCtx(ctx, name, cfg.MaxInsts); err == nil {
-			var captured uint64
-			if outcome == tracestore.OutcomeCapture {
-				captured = ent.Trace.Len()
-			}
-			return runContext(ctx, cfg, &Program{p: ent.Prog}, ent.Trace.NewReplay(), ent.Trace, captured)
-		}
-		// A store failure (it cannot happen for the bundled workloads)
-		// falls back to plain live emulation.
-	}
-	return RunContext(ctx, cfg, &Program{p: w.Build()})
+	return runContext(ctx, cfg, src)
 }
 
 // WorkloadDefaultInsts reports the bundled benchmark's default
 // retired-instruction budget — what a zero Config.MaxInsts resolves to
-// in RunWorkload. The serving layer uses it to canonicalize job specs so
+// in RunWorkloadContextIn. The serving layer uses it to canonicalize job specs so
 // "default budget" and "explicit default budget" hash identically.
 func WorkloadDefaultInsts(name string) (uint64, bool) {
 	w, ok := workload.ByName(name)
@@ -565,8 +529,10 @@ func WorkloadDefaultInsts(name string) (uint64, bool) {
 
 // Suite reproduces the paper's tables and figures while sharing one
 // memoized simulation runner, so sweeps common to several figures (the
-// baseline most of all) simulate exactly once per suite. Figures may be
-// reproduced concurrently; duplicate work is collapsed by singleflight.
+// baseline most of all) simulate exactly once per suite, and each
+// workload's stream is captured once into the suite's own trace store.
+// Figures may be reproduced concurrently; duplicate work is collapsed by
+// singleflight.
 type Suite struct {
 	r *experiments.Runner
 }

@@ -20,14 +20,15 @@ func TestWorkloadsList(t *testing.T) {
 func TestRunWorkload(t *testing.T) {
 	cfg := tcsim.DefaultConfig()
 	cfg.MaxInsts = 10_000
-	r, err := tcsim.RunWorkload(cfg, "compress")
+	st := tcsim.NewTraceStore(0)
+	r, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "compress", st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Retired != 10_000 || r.IPC <= 0 {
 		t.Errorf("result = %+v", r)
 	}
-	if _, err := tcsim.RunWorkload(cfg, "bogus"); err == nil {
+	if _, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "bogus", st); err == nil {
 		t.Error("unknown workload should fail")
 	}
 }
@@ -62,7 +63,7 @@ func TestAssembleAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := tcsim.Run(tcsim.DefaultConfig(), p)
+	r, err := tcsim.RunContext(t.Context(), tcsim.DefaultConfig(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestOptionsChangeResults(t *testing.T) {
 	}
 	cfg := tcsim.DefaultConfig()
 	cfg.Opt = tcsim.AllOptions()
-	r, err := tcsim.Run(cfg, p)
+	r, err := tcsim.RunContext(t.Context(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestConfigKnobs(t *testing.T) {
 	p, _ := tcsim.Assemble(apiTestProgram)
 	cfg := tcsim.DefaultConfig()
 	cfg.UseTraceCache = false
-	r, err := tcsim.Run(cfg, p)
+	r, err := tcsim.RunContext(t.Context(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestConfigKnobs(t *testing.T) {
 	}
 	cfg = tcsim.DefaultConfig()
 	cfg.Clusters, cfg.FUsPerCluster = 1, 16
-	if _, err := tcsim.Run(cfg, p); err != nil {
+	if _, err := tcsim.RunContext(t.Context(), cfg, p); err != nil {
 		t.Fatal(err)
 	}
 }

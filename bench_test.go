@@ -1,6 +1,7 @@
 package tcsim_test
 
 import (
+	"context"
 	"testing"
 
 	"tcsim"
@@ -25,10 +26,11 @@ func BenchmarkTable1Workloads(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := tcsim.DefaultConfig()
 			cfg.MaxInsts = benchInsts
+			st := tcsim.NewTraceStore(0)
 			var lastIPC float64
 			var insts uint64
 			for i := 0; i < b.N; i++ {
-				r, err := tcsim.RunWorkload(cfg, name)
+				r, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, name, st)
 				if err != nil {
 					b.Fatal(err)
 				}

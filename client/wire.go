@@ -103,7 +103,7 @@ type Job struct {
 	// deduplicated onto a concurrent identical run.
 	Cached bool `json:"cached,omitempty"`
 	// Result is set once State is "done". It is bit-for-bit the value a
-	// direct tcsim.Run of the same config produces.
+	// direct in-process run of the same config produces.
 	Result *tcsim.Result `json:"result,omitempty"`
 	Error  string        `json:"error,omitempty"`
 	WallMS float64       `json:"wall_ms,omitempty"`
@@ -113,8 +113,8 @@ type Job struct {
 func (j *Job) Done() bool { return j.State == StateDone || j.State == StateFailed }
 
 // SweepRequest fans a batch over workloads x configs: every pair becomes
-// one simulation cell, run through the experiments runner, which
-// deduplicates identical cells (within and across sweeps) by config
+// one simulation cell, run exactly like a job: identical cells share the
+// daemon's result cache (within and across sweeps and jobs) by config
 // hash. Sweeps return compact per-cell statistics; submit a job for the
 // full tcsim.Result of an interesting cell.
 type SweepRequest struct {
@@ -142,7 +142,8 @@ type SweepRow struct {
 
 // SweepResponse aggregates a sweep. Simulations counts the cells that
 // actually simulated during this request; Cells minus Simulations were
-// memoized or deduplicated onto concurrent identical cells.
+// served from the result cache or deduplicated onto concurrent
+// identical runs.
 type SweepResponse struct {
 	Rows        []SweepRow `json:"rows"`
 	Cells       int        `json:"cells"`

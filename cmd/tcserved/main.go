@@ -38,7 +38,7 @@
 //
 // -selfcheck starts an in-process daemon, hammers it with a mixed
 // duplicate-heavy job load plus a sweep, asserts every served result is
-// bit-for-bit identical to a direct tcsim.Run of the same config, that
+// bit-for-bit identical to a direct in-process run of the same config, that
 // the cache deduplicated repeats, that the trace store captured each
 // workload's correct-path stream exactly once and replayed it for every
 // repeat config, that a saturated queue answers 429, that /metrics
@@ -117,17 +117,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *traceDir != "" {
-		tcsim.SetTraceDir(*traceDir)
-	}
+	store := tcsim.NewTraceStore(0)
+	store.SetDir(*traceDir)
 	if *cdnURL != "" {
-		tcsim.SetTraceFetcher(cluster.TraceFetcher(*cdnURL, nil))
+		store.SetFetcher(cluster.TraceFetcher(*cdnURL, nil))
 		logger.Info("trace CDN enabled", "gateway", *cdnURL)
 	}
-	if *traceDir != "" || *cdnURL != "" {
-		tcsim.SetTraceRejectLog(func(file string, err error) {
-			logger.Warn("rejected trace, re-capturing live", "source", file, "error", err.Error())
-		})
+	store.RejectLog = func(file string, err error) {
+		logger.Warn("rejected trace, re-capturing live", "source", file, "error", err.Error())
 	}
 
 	scfg := server.Config{
@@ -135,6 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Workers:      *workers,
 			Queue:        *queue,
 			CacheEntries: *cacheSize,
+			Store:        store,
 			Limits: server.Limits{
 				MaxInsts:       *maxInsts,
 				DefaultTimeout: *jobTimeout,

@@ -78,7 +78,7 @@ func startDaemon(scfg server.Config) (*server.Server, *client.Client, func(ctx c
 
 // runSelfcheck is the end-to-end load check the CI gate runs: a mixed,
 // duplicate-heavy job storm whose every response must be bit-for-bit
-// identical to a direct tcsim.Run, a sweep cross-checked against the
+// identical to a direct tcsim.RunContext, a sweep cross-checked against the
 // same references, a cache-effectiveness assertion, and a saturation
 // phase that must produce 429s rather than unbounded queueing.
 func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts uint64, flightDir string) int {
@@ -125,7 +125,7 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 				fmt.Fprintf(stderr, "tcserved selfcheck: resolve %s: %v\n", w, err)
 				return 1
 			}
-			expected, err := tcsim.Run(dcfg, mustProgram(w))
+			expected, err := tcsim.RunContext(ctx, dcfg, mustProgram(w))
 			if err != nil {
 				fmt.Fprintf(stderr, "tcserved selfcheck: direct run %s: %v\n", w, err)
 				return 1
@@ -177,7 +177,7 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 				fails.failf("job %d: server key %s != client-computed key %s", i, job.Key, tc.key)
 			}
 			if !reflect.DeepEqual(*job.Result, tc.expected) {
-				fails.failf("job %d (%s, key %s): served result differs from direct tcsim.Run (IPC %v vs %v)",
+				fails.failf("job %d (%s, key %s): served result differs from direct tcsim.RunContext (IPC %v vs %v)",
 					i, tc.req.Workload, tc.key, job.Result.IPC, tc.expected.IPC)
 			}
 		}()
@@ -221,7 +221,7 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 	// an explicit default policy must hash (and cache) identically to an
 	// absent one, and non-default policies must split the cache key while
 	// still matching a direct run bit-for-bit.
-	polUnique := checkPolicies(ctx, cl, insts, &fails)
+	polUnique := checkPolicies(ctx, cl, srv.Engine().Store(), insts, &fails)
 
 	// Cache effectiveness: the storm repeated every config, so hits and
 	// joins together must cover jobs-unique, and hits must be nonzero.
@@ -250,7 +250,7 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 	// on /metrics. Runs after the observability phase because its seek
 	// job uses a fresh (workload, budget) pair, which would break that
 	// phase's exact capture-count assertion.
-	samp := checkSampling(ctx, cl, insts, &fails)
+	samp := checkSampling(ctx, cl, srv.Engine().Store(), insts, &fails)
 
 	if err := shutdown(ctx); err != nil {
 		fails.failf("graceful shutdown: %v", err)
@@ -323,9 +323,10 @@ func runSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int, insts 
 // must restore capture-time checkpoints instead of re-emulating the
 // whole gap). Both must match a direct run of the resolved config
 // bit-for-bit, and every sampling counter on /metrics must be non-zero.
-// Returns the final /metrics samples for the summary line (nil on
-// failure).
-func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *checkFailure) map[string]float64 {
+// The direct runs replay st, the daemon's store, so they capture
+// nothing the daemon would not. Returns the final /metrics samples for
+// the summary line (nil on failure).
+func checkSampling(ctx context.Context, cl *client.Client, st *tcsim.TraceStore, insts uint64, fails *checkFailure) map[string]float64 {
 	warm := client.JobRequest{Workload: "m88ksim", Insts: insts,
 		SamplePeriod: insts / 4, SampleWindow: insts / 20, SampleWarmup: insts / 20}
 	// The seek job's budget must exceed the full-capture limit so the
@@ -341,7 +342,7 @@ func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *
 			fails.failf("sampling phase: resolve (seek=%v): %v", req.SampleSeek, err)
 			return nil
 		}
-		expected, err := tcsim.RunWorkload(dcfg, req.Workload)
+		expected, err := tcsim.RunWorkloadContextIn(ctx, dcfg, req.Workload, st)
 		if err != nil {
 			fails.failf("sampling phase: direct run (seek=%v): %v", req.SampleSeek, err)
 			return nil
@@ -388,8 +389,9 @@ func checkSampling(ctx context.Context, cl *client.Client, insts uint64, fails *
 // cache warmed by the storm); and each non-default policy must produce a
 // distinct key whose served result is bit-for-bit a direct run's. It
 // returns how many fresh unique configs it submitted, so the caller can
-// widen its cache-miss bound.
-func checkPolicies(ctx context.Context, cl *client.Client, insts uint64, fails *checkFailure) int {
+// widen its cache-miss bound. The direct runs replay st, the daemon's
+// store.
+func checkPolicies(ctx context.Context, cl *client.Client, st *tcsim.TraceStore, insts uint64, fails *checkFailure) int {
 	served, err := cl.Policies(ctx)
 	if err != nil {
 		fails.failf("GET /v1/policies: %v", err)
@@ -447,7 +449,7 @@ func checkPolicies(ctx context.Context, cl *client.Client, insts uint64, fails *
 		fresh++
 		// The oracle policy needs the captured trace stream, so the
 		// reference run goes through the workload path like the server's.
-		expected, err := tcsim.RunWorkload(dcfg, req.Workload)
+		expected, err := tcsim.RunWorkloadContextIn(ctx, dcfg, req.Workload, st)
 		if err != nil {
 			fails.failf("policy %s: direct run: %v", pol, err)
 			continue
@@ -523,8 +525,8 @@ func checkObservability(ctx context.Context, cl *client.Client, fails *checkFail
 	// Trace-store phase: every server simulation goes through the shared
 	// capture-once store, so each (workload, budget) pair must have been
 	// captured exactly once and every repeat config served by replay. The
-	// direct reference runs bypass the store (tcsim.Run takes a Program),
-	// so they must not inflate the capture count.
+	// direct reference runs bypass the store (tcsim.RunContext takes a
+	// Program), so they must not inflate the capture count.
 	captures, replays := m1[sampleCaptures], m1[sampleReplays]
 	if want := float64(len(selfcheckWorkloads)); captures != want {
 		fails.failf("trace store captured %v streams, want exactly %v (one per workload at the shared budget)",

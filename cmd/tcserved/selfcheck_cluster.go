@@ -175,7 +175,7 @@ func runClusterSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int,
 			if err != nil {
 				return fatal("resolve %s: %v", w, err)
 			}
-			expected, err := tcsim.Run(dcfg, mustProgram(w))
+			expected, err := tcsim.RunContext(ctx, dcfg, mustProgram(w))
 			if err != nil {
 				return fatal("direct run %s: %v", w, err)
 			}
@@ -372,13 +372,13 @@ func runClusterSelfcheck(stdout, stderr io.Writer, scfg server.Config, jobs int,
 	// estimate must come back bit-for-bit a direct run's. Warm-mode only:
 	// a seek job above the full-capture limit would emulate a fresh
 	// checkpoint log on its owner and break the capture-once accounting
-	// below. The direct reference replays the process-global store, never
+	// below. The direct reference runs over its own trace store, never
 	// touching any node's counters.
 	sreq := client.JobRequest{Workload: selfcheckWorkloads[0], Insts: insts,
 		SamplePeriod: insts / 4, SampleWindow: insts / 20, SampleWarmup: insts / 20}
 	if sdcfg, skey, err := server.ResolveConfig(&sreq, server.Limits{}); err != nil {
 		fails.failf("cluster sampled job: resolve: %v", err)
-	} else if sexp, err := tcsim.RunWorkload(sdcfg, sreq.Workload); err != nil {
+	} else if sexp, err := tcsim.RunWorkloadContextIn(ctx, sdcfg, sreq.Workload, tcsim.NewTraceStore(0)); err != nil {
 		fails.failf("cluster sampled job: direct run: %v", err)
 	} else if job, err := gcl.SubmitJob(ctx, &sreq); err != nil {
 		fails.failf("cluster sampled job: submit: %v", err)

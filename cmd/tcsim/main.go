@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -151,11 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usagef("unknown optimization %q (valid: moves,reassoc,scadd,place,all)", o)
 		}
 	}
+	store := tcsim.NewTraceStore(0)
 	if *traceDir != "" {
-		tcsim.SetTraceDir(*traceDir)
-		tcsim.SetTraceRejectLog(func(file string, err error) {
+		store.SetDir(*traceDir)
+		store.RejectLog = func(file string, err error) {
 			fmt.Fprintf(stderr, "tcsim: ignoring trace file %s: %v (re-capturing live)\n", file, err)
-		})
+		}
 	}
 	if *wl != "" && *asmFile != "" {
 		return usagef("pass either -workload or -asm, not both")
@@ -171,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var res tcsim.Result
 	if *wl != "" {
-		res, err = tcsim.RunWorkload(cfg, *wl)
+		res, err = tcsim.RunWorkloadContextIn(context.Background(), cfg, *wl, store)
 	} else {
 		src, rerr := os.ReadFile(*asmFile)
 		if rerr != nil {
@@ -181,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if aerr != nil {
 			return fatalf("%v", aerr)
 		}
-		res, err = tcsim.Run(cfg, prog)
+		res, err = tcsim.RunContext(context.Background(), cfg, prog)
 	}
 	if err != nil {
 		return fatalf("%v", err)

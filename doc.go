@@ -25,8 +25,11 @@
 //
 // This package is the public face: configure a machine, run one of the
 // fifteen bundled benchmark programs (synthetic stand-ins for the
-// paper's SPECint95 + UNIX suite) or your own TCR assembly, and read the
-// statistics the paper's figures are built from. The experiment harness
-// that regenerates every table and figure lives behind ReproduceAll and
+// paper's SPECint95 + UNIX suite) with RunWorkloadContextIn or your own
+// TCR assembly with RunContext, and read the statistics the paper's
+// figures are built from. Workload runs capture each program's
+// instruction stream once into the TraceStore they are handed and
+// replay it afterwards. The experiment harness that regenerates every
+// table and figure lives behind Suite (NewSuite, ReproduceFigure) and
 // the cmd/tcexp tool.
 package tcsim

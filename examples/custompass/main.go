@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -67,7 +68,7 @@ func main() {
 	cfg.TimePasses = true
 	cfg.MaxInsts = 100_000
 
-	res, err := tcsim.RunWorkload(cfg, "m88ksim")
+	res, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, "m88ksim", tcsim.NewTraceStore(0))
 	if err != nil {
 		log.Fatal(err)
 	}

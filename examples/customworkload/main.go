@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,13 +50,14 @@ func main() {
 	fmt.Println("assembled kernel:")
 	fmt.Println(prog.Listing())
 
-	base, err := tcsim.Run(tcsim.DefaultConfig(), prog)
+	ctx := context.Background()
+	base, err := tcsim.RunContext(ctx, tcsim.DefaultConfig(), prog)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := tcsim.DefaultConfig()
 	cfg.Opt = tcsim.AllOptions()
-	opt, err := tcsim.Run(cfg, prog)
+	opt, err := tcsim.RunContext(ctx, cfg, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,9 @@ import (
 )
 
 func main() {
+	// One store for every run: each workload is emulated once and its
+	// stream replayed under every fill latency.
+	st := tcsim.NewTraceStore(0)
 	for _, name := range []string{"compress", "m88ksim", "tex"} {
 		fmt.Printf("%s:\n", name)
 		var first float64
@@ -20,7 +24,7 @@ func main() {
 			cfg.Opt = tcsim.AllOptions()
 			cfg.FillLatency = lat
 			cfg.MaxInsts = 80_000
-			r, err := tcsim.RunWorkload(cfg, name)
+			r, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, name, st)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,9 @@ func main() {
 
 	cfg := tcsim.DefaultConfig()
 	cfg.MaxInsts = 80_000
+	// One store for the whole sweep: each benchmark is emulated once and
+	// its stream replayed under every variant.
+	ctx, st := context.Background(), tcsim.NewTraceStore(0)
 
 	fmt.Printf("%-22s", "optimization")
 	for _, b := range benchmarks {
@@ -34,7 +38,7 @@ func main() {
 
 	base := map[string]float64{}
 	for _, b := range benchmarks {
-		r, err := tcsim.RunWorkload(cfg, b)
+		r, err := tcsim.RunWorkloadContextIn(ctx, cfg, b, st)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +55,7 @@ func main() {
 		c.Opt = v.opt
 		fmt.Printf("%-22s", v.name)
 		for _, b := range benchmarks {
-			r, err := tcsim.RunWorkload(c, b)
+			r, err := tcsim.RunWorkloadContextIn(ctx, c, b, st)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,12 +18,15 @@ func main() {
 	opt := base
 	opt.Opt = tcsim.AllOptions()
 
+	// Both runs share one trace store: the first captures the program's
+	// instruction stream, the second replays it.
+	ctx, st := context.Background(), tcsim.NewTraceStore(0)
 	name := "m88ksim" // the paper's biggest winner (+44% in Figure 8)
-	b, err := tcsim.RunWorkload(base, name)
+	b, err := tcsim.RunWorkloadContextIn(ctx, base, name, st)
 	if err != nil {
 		log.Fatal(err)
 	}
-	o, err := tcsim.RunWorkload(opt, name)
+	o, err := tcsim.RunWorkloadContextIn(ctx, opt, name, st)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,7 +20,7 @@ func main() {
 	cfg.Opt = tcsim.AllOptions()
 	cfg.Timeline = true // attach the recorder; the run itself is unchanged
 
-	res, err := tcsim.RunWorkload(cfg, "m88ksim")
+	res, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, "m88ksim", tcsim.NewTraceStore(0))
 	if err != nil {
 		log.Fatal(err)
 	}

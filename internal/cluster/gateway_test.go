@@ -85,7 +85,7 @@ func TestGatewayJobAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := tcsim.RunWorkload(cfg, "compress")
+	direct, err := tcsim.RunWorkloadContextIn(ctx, cfg, "compress", tcsim.NewTraceStore(0))
 	if err != nil {
 		t.Fatal(err)
 	}

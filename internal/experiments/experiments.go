@@ -28,7 +28,10 @@ import (
 // figures can share baseline runs: when two figures concurrently ask for
 // the same workload/variant pair, one simulation runs and both wait on
 // it. Simulations are throttled by a worker pool sized GOMAXPROCS (or
-// Parallel). It is safe for concurrent use.
+// Parallel). Every simulation draws its correct-path stream from the
+// Runner's own trace store, so each workload is emulated once per
+// Runner, not once per variant. Create one with NewRunner; it is safe
+// for concurrent use.
 type Runner struct {
 	// Insts overrides every workload's instruction budget when non-zero.
 	Insts uint64
@@ -37,19 +40,13 @@ type Runner struct {
 	// Parallel caps concurrent simulations (0 = GOMAXPROCS). Read once,
 	// when the first simulation starts.
 	Parallel int
-	// Store selects the trace store runs capture and replay through
-	// (nil = the process-wide shared store). The serving layer points
-	// this at its engine's store so a multi-engine process — the cluster
-	// selfcheck boots three nodes in-process — keeps sweep captures
-	// isolated per node.
-	Store *tracestore.Store
 
+	store   *tracestore.Store
 	mu      sync.Mutex
 	flights map[string]*flight
 	workers chan struct{} // worker-pool slots, built lazily from Parallel
 
 	simCount atomic.Uint64 // simulations actually executed (not memo hits)
-	running  atomic.Int64  // simulations executing right now (gauge)
 }
 
 // flight is one singleflight cell: the first caller for a key simulates
@@ -63,7 +60,7 @@ type flight struct {
 // NewRunner returns a Runner with an instruction budget override
 // (0 keeps each workload's default).
 func NewRunner(insts uint64) *Runner {
-	return &Runner{Insts: insts, flights: make(map[string]*flight)}
+	return &Runner{Insts: insts, store: tracestore.NewStore(0), flights: make(map[string]*flight)}
 }
 
 func (r *Runner) workloads() []workload.Workload {
@@ -150,9 +147,6 @@ func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVa
 	key := w.Name + "/" + v.Name
 	for {
 		r.mu.Lock()
-		if r.flights == nil {
-			r.flights = make(map[string]*flight)
-		}
 		if f, ok := r.flights[key]; ok {
 			r.mu.Unlock()
 			select {
@@ -224,8 +218,6 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 	}
 
 	r.simCount.Add(1)
-	r.running.Add(1)
-	defer r.running.Add(-1)
 	cfg := pipeline.DefaultConfig()
 	cfg.MaxInsts = w.DefaultInsts
 	if r.Insts > 0 {
@@ -233,48 +225,18 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 	}
 	v.Mut(&cfg)
 	cfg.Cancelled = func() bool { return ctx.Err() != nil }
-	// Every variant of a workload consumes the same correct-path stream:
-	// capture it once in the shared trace store and replay it here, so a
-	// sweep pays emulation per workload, not per (workload × variant).
-	store := r.Store
-	if store == nil {
-		store = tracestore.Shared()
+	src, err := r.bind(ctx, w, &cfg)
+	if err != nil {
+		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
 	}
-	var prog *asm.Program
-	phase := "live"
-	switch {
-	case cfg.MaxInsts > tracestore.FullCaptureLimit:
-		// Too large for a full per-instruction trace. Seek-mode sampling
-		// runs over a checkpoint log (registers + page deltas, seekable);
-		// anything else emulates live.
-		if cfg.Sampling.Enabled() && cfg.Sampling.Seek {
-			if ent, outcome, err := store.GetCheckpointLog(ctx, w.Name, cfg.MaxInsts); err == nil {
-				prog = ent.Prog
-				cfg.Oracle = tracestore.NewCkptSource(ent.Prog, ent.Trace, pipeline.MaxOracleLead(cfg))
-				phase = outcome.String()
-			}
-		}
-	case cfg.MaxInsts > 0:
-		if ent, outcome, err := store.GetCtx(ctx, w.Name, cfg.MaxInsts); err == nil {
-			prog = ent.Prog
-			cfg.Oracle = ent.Trace.NewReplay()
-			// The captured trace doubles as the future-reference index
-			// oracle replacement policies (the Belady bound) consult.
-			cfg.Future = ent.Trace
-			phase = outcome.String()
-		}
-	}
-	if prog == nil {
-		prog = w.Build()
-	}
-	sim, err := pipeline.New(cfg, prog)
+	sim, err := pipeline.New(cfg, src.Prog)
 	if err != nil {
 		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
 	}
 	// Label the simulation so profiles split sweep time by workload,
 	// variant, and capture-vs-replay phase.
 	var st pipeline.Stats
-	pprof.Do(ctx, pprof.Labels("workload", w.Name, "variant", v.Name, "phase", phase),
+	pprof.Do(ctx, pprof.Labels("workload", w.Name, "variant", v.Name, "phase", src.Phase()),
 		func(context.Context) {
 			st, err = sim.Run()
 		})
@@ -288,31 +250,29 @@ func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVari
 // hits and singleflight waiters excluded) — a test and reporting hook.
 func (r *Runner) SimCount() uint64 { return r.simCount.Load() }
 
-// InFlight reports how many simulations are executing at this instant —
-// a live gauge for serving-layer metrics.
-func (r *Runner) InFlight() int64 { return r.running.Load() }
-
-// RunByName is RunContext keyed by workload name, for callers (the
-// serving layer's sweep fan-out) that take names off the wire rather
-// than holding workload.Workload values.
-func (r *Runner) RunByName(ctx context.Context, name string, v ConfigVariant) (pipeline.Stats, error) {
-	w, ok := workload.ByName(name)
-	if !ok {
-		return pipeline.Stats{}, fmt.Errorf("experiments: unknown workload %q", name)
+// bind points cfg at the correct-path stream the Runner's trace store
+// picks for w at cfg's budget: every variant of a workload replays one
+// capture, so a sweep pays emulation per workload, not per (workload ×
+// variant). The captured trace doubles as the future-reference index
+// oracle replacement policies (the Belady bound) consult.
+func (r *Runner) bind(ctx context.Context, w workload.Workload, cfg *pipeline.Config) (tracestore.RunSource, error) {
+	src, err := r.store.Source(ctx, w.Name, cfg.MaxInsts, cfg.Sampling.Enabled() && cfg.Sampling.Seek, pipeline.MaxOracleLead(*cfg))
+	if err != nil {
+		return src, err
 	}
-	return r.RunContext(ctx, w, v)
+	cfg.Oracle = src.Oracle
+	if src.Future != nil {
+		cfg.Future = src.Future
+	}
+	return src, nil
 }
 
 // runAll executes the variant over every selected workload, in parallel.
 // The worker pool inside simulate bounds concurrency, so one goroutine
 // per workload is cheap; the first real error cancels the rest.
 func (r *Runner) runAll(v ConfigVariant) (map[string]pipeline.Stats, error) {
-	return r.runAllContext(context.Background(), v)
-}
-
-func (r *Runner) runAllContext(ctx context.Context, v ConfigVariant) (map[string]pipeline.Stats, error) {
 	ws := r.workloads()
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
 	var mu sync.Mutex

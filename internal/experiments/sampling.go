@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -37,14 +38,15 @@ type SamplingRow struct {
 
 // SamplingHeadlineRow is one workload's long-budget sampled result.
 type SamplingHeadlineRow struct {
-	Name        string
-	IPC         float64
-	CILow       float64
-	CIHigh      float64
-	Windows     int
-	InstsFFwd   uint64
-	WallSec     float64 // wall time of the whole sampled run
-	MInstPerSec float64 // budget / wall, in millions
+	Name               string
+	IPC                float64
+	CILow              float64
+	CIHigh             float64
+	Windows            int
+	InstsFFwd          uint64
+	CheckpointRestores uint64  // seeks that restored a capture-time checkpoint (seek plans)
+	WallSec            float64 // wall time of the whole sampled run, including any checkpoint-log capture
+	MInstPerSec        float64 // budget / wall, in millions
 }
 
 // SamplingResult is the reproduced sampling-validation figure.
@@ -143,11 +145,15 @@ func (r *Runner) Sampling(valInsts, headInsts uint64, plan pipeline.SamplingConf
 		cfg := pipeline.DefaultConfig()
 		cfg.MaxInsts = headInsts
 		cfg.Sampling = headPlan
-		sim, err := pipeline.New(cfg, w.Build())
+		t0 := time.Now()
+		src, err := r.bind(context.Background(), w, &cfg)
 		if err != nil {
 			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
 		}
-		t0 := time.Now()
+		sim, err := pipeline.New(cfg, src.Prog)
+		if err != nil {
+			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
+		}
 		st, err := sim.Run()
 		if err != nil {
 			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
@@ -155,13 +161,14 @@ func (r *Runner) Sampling(valInsts, headInsts uint64, plan pipeline.SamplingConf
 		wall := time.Since(t0).Seconds()
 		r.simCount.Add(1)
 		row := SamplingHeadlineRow{
-			Name:      w.Name,
-			IPC:       st.Sampled.IPC,
-			CILow:     st.Sampled.CILow,
-			CIHigh:    st.Sampled.CIHigh,
-			Windows:   st.Sampled.Windows,
-			InstsFFwd: st.Sampled.InstsFFwd,
-			WallSec:   wall,
+			Name:               w.Name,
+			IPC:                st.Sampled.IPC,
+			CILow:              st.Sampled.CILow,
+			CIHigh:             st.Sampled.CIHigh,
+			Windows:            st.Sampled.Windows,
+			InstsFFwd:          st.Sampled.InstsFFwd,
+			CheckpointRestores: st.Sampled.CheckpointRestores,
+			WallSec:            wall,
 		}
 		if wall > 0 {
 			row.MInstPerSec = float64(headInsts) / wall / 1e6

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tcsim/internal/pipeline"
+	"tcsim/internal/tracestore"
 )
 
 // TestSamplingFigure runs the estimator-validation figure at a small
@@ -63,5 +64,28 @@ func TestSamplingFigureMemoizes(t *testing.T) {
 	// Second reproduction reruns only the (uncached) headline row.
 	if got := r.SimCount() - n; got != 1 {
 		t.Errorf("second reproduction ran %d simulations, want 1 (headline only)", got)
+	}
+}
+
+// TestSamplingFigureSeekPlan: a seek plan runs in both halves of the
+// figure. The headline budget sits above the full-capture limit, so its
+// runs must seek over a checkpoint log served by the runner's store
+// rather than fail on an unseekable live oracle.
+func TestSamplingFigureSeekPlan(t *testing.T) {
+	defer func(old uint64) { tracestore.FullCaptureLimit = old }(tracestore.FullCaptureLimit)
+	tracestore.FullCaptureLimit = 200_000 // make a 300k headline a "big" budget cheaply
+
+	r := NewRunner(0)
+	r.Workloads = []string{"compress"}
+	plan := pipeline.SamplingConfig{Period: 60_000, WindowLen: 10_000, Warmup: 5_000, Seek: true}
+	res, err := r.Sampling(150_000, 300_000, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Headline) != 1 {
+		t.Fatalf("headline rows = %d, want 1", len(res.Headline))
+	}
+	if row := res.Headline[0]; row.Windows == 0 || row.CheckpointRestores == 0 {
+		t.Errorf("seek headline should measure windows and restore checkpoints: %+v", row)
 	}
 }

@@ -37,10 +37,12 @@ type EngineConfig struct {
 	CacheEntries int
 	// Limits bounds individual jobs.
 	Limits Limits
-	// Store selects the trace store jobs capture and replay through (nil
-	// = the process-wide shared store). Hosts embedding several engines
-	// in one process — the cluster selfcheck boots three nodes in-process
-	// — give each its own so per-node capture counters stay meaningful.
+	// Store is the trace store jobs capture into and replay from, and the
+	// trace CDN exports (nil = a fresh store of the default size). Hosts
+	// configure it (trace directory, peer fetcher) before serving; hosts
+	// embedding several engines in one process — the cluster selfcheck
+	// boots three nodes in-process — give each its own so per-node
+	// capture counters stay meaningful.
 	Store *tcsim.TraceStore
 }
 
@@ -59,6 +61,9 @@ func (c EngineConfig) withDefaults() EngineConfig {
 	}
 	if c.Limits.DefaultTimeout <= 0 {
 		c.Limits.DefaultTimeout = 60 * time.Second
+	}
+	if c.Store == nil {
+		c.Store = tcsim.NewTraceStore(0)
 	}
 	return c
 }
@@ -96,7 +101,8 @@ type Engine struct {
 	wg sync.WaitGroup // admitted jobs, for graceful drain
 
 	// runSim executes one resolved simulation. Tests substitute a
-	// controllable double; production is tcsim.RunWorkloadContext.
+	// controllable double; production is tcsim.RunWorkloadContextIn over
+	// the engine's store.
 	runSim func(ctx context.Context, cfg tcsim.Config, workload string) (tcsim.Result, error)
 
 	// avgWallMS is a crude EWMA of executed-job wall time, feeding the
@@ -121,8 +127,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// Store returns the trace store this engine's jobs run through (nil
-// means the process-wide shared store).
+// Store returns the trace store this engine's jobs run through.
 func (e *Engine) Store() *tcsim.TraceStore { return e.cfg.Store }
 
 // Limits returns the engine's per-job bounds for request resolution.

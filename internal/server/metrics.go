@@ -49,6 +49,7 @@ type metrics struct {
 	simBusyNanos atomic.Int64
 
 	sweepCells atomic.Uint64
+	sweepSims  atomic.Uint64 // sweep cells the engine simulated (not cached)
 
 	tcBypasses atomic.Uint64 // trace-cache fills the policy rejected
 

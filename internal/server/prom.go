@@ -50,7 +50,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		"Jobs admitted and waiting for a worker slot.",
 		float64(max(m.admitted.Load()-m.inflight.Load(), 0)))
 	e.Gauge("tcserved_jobs_in_flight",
-		"Jobs simulating right now.", float64(m.inflight.Load()))
+		"Jobs and sweep cells simulating right now.", float64(m.inflight.Load()))
 
 	e.Counter("tcserved_sim_insts_total",
 		"Retired instructions simulated by executed jobs.", float64(m.simInsts.Load()))
@@ -61,10 +61,8 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	e.Counter("tcserved_sweep_cells_total",
 		"Sweep cells resolved across all sweep requests.", float64(m.sweepCells.Load()))
 	e.Counter("tcserved_sweep_simulations_total",
-		"Simulations the sweep runner actually executed (memoized reuse excluded).",
-		float64(s.sweeps.SimCount()))
-	e.Gauge("tcserved_sweep_in_flight",
-		"Sweep cells simulating right now.", float64(s.sweeps.InFlight()))
+		"Sweep cells the engine actually simulated (cache hits and dedup joins excluded).",
+		float64(m.sweepSims.Load()))
 
 	passes := m.passSnapshot()
 	if len(passes) > 0 {
@@ -127,7 +125,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 		"Seeks that restored architectural state from a capture-time checkpoint.",
 		float64(m.sampRestores.Load()))
 
-	ts := s.traceStore().Stats()
+	ts := s.engine.Store().Stats()
 	e.Counter("tcserved_tracestore_captures_total",
 		"Correct-path streams captured into the trace store (emulated or disk-loaded).",
 		float64(ts.Captures))

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tcsim"
 	"tcsim/client"
 )
 
@@ -94,10 +93,7 @@ func TestEndToEndSampledJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected, err := tcsim.RunWorkload(dcfg, req.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		expected := runDirect(t, dcfg, req.Workload)
 		if expected.Sampled == nil || expected.Sampled.Windows == 0 {
 			t.Fatalf("seek=%v: direct sampled run carries no windows: %+v", seek, expected.Sampled)
 		}

@@ -14,7 +14,6 @@ import (
 
 	"tcsim"
 	"tcsim/client"
-	"tcsim/internal/experiments"
 	"tcsim/internal/obs"
 	"tcsim/internal/tracestore"
 )
@@ -48,7 +47,6 @@ type Server struct {
 	cfg     Config
 	engine  *Engine
 	jobs    *jobStore
-	sweeps  *experiments.Runner
 	mux     *http.ServeMux
 	handler http.Handler // mux wrapped in the observability middleware
 	log     *slog.Logger
@@ -77,11 +75,6 @@ func New(cfg Config) *Server {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	sweeps := experiments.NewRunner(0)
-	// Sweeps must capture and replay through the same store as jobs, or
-	// a multi-engine process would leak traces across nodes via the
-	// shared store and falsify per-node CDN accounting.
-	sweeps.Store = cfg.Engine.Store
 	service := cfg.Service
 	if service == "" {
 		service = "tcserved"
@@ -91,7 +84,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		engine:     NewEngine(cfg.Engine),
 		jobs:       newJobStore(cfg.JobTTL),
-		sweeps:     sweeps,
 		log:        log,
 		flight:     flight,
 		spans:      flight.Spanner(),
@@ -358,8 +350,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep implements POST /v1/sweeps: resolve the cross product,
-// fan out over the shared experiments runner (which deduplicates and
-// memoizes by config hash), aggregate.
+// run every cell through the engine like a job, aggregate.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req client.SweepRequest
 	if !s.decode(w, r, &req) {
@@ -370,9 +361,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	// A sweep occupies one admission token end to end: its internal
-	// parallelism is bounded by the experiments runner's own pool, but
-	// the daemon still bounds how many sweeps stack up.
+	// A sweep occupies one admission token end to end: its cells share
+	// the engine's worker slots with jobs, and the daemon still bounds
+	// how many sweeps stack up.
 	release, err := s.engine.Admit()
 	if err != nil {
 		s.writeRunError(w, err)
@@ -380,7 +371,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	s.engine.met.sweepCells.Add(uint64(len(cells)))
-	resp, err := runSweep(r.Context(), s.sweeps, cells)
+	resp, err := runSweep(r.Context(), s.engine, cells)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -452,7 +443,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"budget query parameter must be a positive integer", 0)
 		return
 	}
-	raw, err := s.traceStore().ExportBytes(name, budget, r.Method != http.MethodHead)
+	raw, err := s.engine.Store().ExportBytes(name, budget, r.Method != http.MethodHead)
 	switch {
 	case errors.Is(err, tracestore.ErrUnavailable):
 		writeError(w, http.StatusNotFound, "not_found",
@@ -475,13 +466,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Write(raw)
-}
-
-// traceStore returns the store this server's jobs and trace CDN run
-// against: the engine's own when configured, else the process-wide one.
-func (s *Server) traceStore() *tcsim.TraceStore {
-	if st := s.engine.Store(); st != nil {
-		return st
-	}
-	return tracestore.Shared()
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,9 +32,20 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 	return srv, client.New(hs.URL)
 }
 
+// runDirect runs cfg in-process over a fresh trace store: the reference
+// a served result must match bit-for-bit.
+func runDirect(t *testing.T, cfg tcsim.Config, workload string) tcsim.Result {
+	t.Helper()
+	res, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, workload, tcsim.NewTraceStore(0))
+	if err != nil {
+		t.Fatalf("direct run of %s: %v", workload, err)
+	}
+	return res
+}
+
 // TestEndToEndJobDeterminism is the core serving contract: a job
 // submitted over HTTP — sync, async+poll, and a cached repeat — returns
-// bit-for-bit the result of a direct tcsim.Run of the same config,
+// bit-for-bit the result of a direct run of the same config,
 // across the real JSON round trip.
 func TestEndToEndJobDeterminism(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
@@ -44,10 +56,7 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expected, err := tcsim.RunWorkload(dcfg, req.Workload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	expected := runDirect(t, dcfg, req.Workload)
 
 	// Sync.
 	job, err := cl.SubmitJob(ctx, req)
@@ -61,7 +70,7 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 		t.Errorf("server key %s != ResolveConfig key %s", job.Key, wantKey)
 	}
 	if !reflect.DeepEqual(*job.Result, expected) {
-		t.Errorf("served result differs from direct tcsim.Run:\nserved %+v\ndirect %+v", *job.Result, expected)
+		t.Errorf("served result differs from direct run:\nserved %+v\ndirect %+v", *job.Result, expected)
 	}
 
 	// Cached repeat.
@@ -90,7 +99,7 @@ func TestEndToEndJobDeterminism(t *testing.T) {
 		t.Fatalf("WaitJob: %v", err)
 	}
 	adcfg, _, _ := ResolveConfig(areq, Limits{})
-	aexp, _ := tcsim.RunWorkload(adcfg, areq.Workload)
+	aexp := runDirect(t, adcfg, areq.Workload)
 	if !reflect.DeepEqual(*done.Result, aexp) {
 		t.Error("async served result differs from direct run")
 	}
@@ -264,54 +273,70 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestSweepEndpoint: a sweep crosses workloads x configs, its cells
-// agree with direct runs, and a repeated sweep is fully memoized.
+// TestSweepEndpoint: a sweep crosses workloads x configs, every cell
+// agrees bit-for-bit with the /v1/jobs result of the same request (same
+// key, same statistics — sampling plans and replacement policies
+// included), and a repeated sweep is served entirely from the cache.
 func TestSweepEndpoint(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
+	_, jobs := newTestServer(t, Config{}) // an independent daemon for the job-path references
 	ctx := context.Background()
 	req := &client.SweepRequest{
-		Workloads: []string{"m88ksim", "compress"},
-		Configs:   []client.JobRequest{{}, {Preset: client.PresetAll}},
-		Insts:     testInsts,
+		Workloads: []string{"m88ksim", "gcc"},
+		Configs: []client.JobRequest{
+			{},
+			{Preset: client.PresetAll},
+			{Insts: 200_000, SamplePeriod: 50_000, SampleWindow: 5_000, SampleWarmup: 5_000},
+			{TCPolicy: "srrip"},
+		},
+		Insts: testInsts,
 	}
+	cells := len(req.Workloads) * len(req.Configs)
 	resp, err := cl.Sweep(ctx, req)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
-	if resp.Cells != 4 || len(resp.Rows) != 4 {
-		t.Fatalf("sweep: %d cells / %d rows, want 4/4", resp.Cells, len(resp.Rows))
+	if resp.Cells != cells || len(resp.Rows) != cells {
+		t.Fatalf("sweep: %d cells / %d rows, want %d/%d", resp.Cells, len(resp.Rows), cells, cells)
 	}
-	if resp.Simulations != 4 {
-		t.Errorf("first sweep simulated %d cells, want 4", resp.Simulations)
+	if resp.Simulations != uint64(cells) {
+		t.Errorf("first sweep simulated %d cells, want %d", resp.Simulations, cells)
 	}
-	// Cells agree with direct runs of the same config.
-	jr := client.JobRequest{Workload: "m88ksim", Insts: testInsts, Preset: client.PresetAll}
-	dcfg, key, _ := ResolveConfig(&jr, Limits{})
-	direct, err := tcsim.RunWorkload(dcfg, "m88ksim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, row := range resp.Rows {
-		if row.Workload == "m88ksim" && row.Key == key {
-			found = true
-			if row.IPC != direct.IPC || row.Cycles != direct.Cycles || row.Retired != direct.Retired {
-				t.Errorf("sweep cell disagrees with direct run: %+v vs IPC %v cycles %d",
-					row, direct.IPC, direct.Cycles)
+	// Rows come back in cell order: configs outer, workloads inner.
+	i := 0
+	for _, cfg := range req.Configs {
+		for _, w := range req.Workloads {
+			jr := cfg
+			jr.Workload = w
+			if jr.Insts == 0 {
+				jr.Insts = req.Insts
+			}
+			row := resp.Rows[i]
+			i++
+			job, err := jobs.SubmitJob(ctx, &jr)
+			if err != nil {
+				t.Fatalf("job %+v: %v", jr, err)
+			}
+			r := job.Result
+			if row.Workload != w || row.Key != job.Key {
+				t.Errorf("row %s/%s: job path resolved %s/%s", row.Workload, row.Key, w, job.Key)
+				continue
+			}
+			if row.IPC != r.IPC || row.Cycles != r.Cycles || row.Retired != r.Retired ||
+				row.TCHitRate != r.TraceCacheHitRate || row.MispredictRate != r.MispredictRate {
+				t.Errorf("sweep cell %s/%s disagrees with its job: %+v vs IPC %v cycles %d retired %d tc %v mispredict %v",
+					w, row.Key, row, r.IPC, r.Cycles, r.Retired, r.TraceCacheHitRate, r.MispredictRate)
 			}
 		}
 	}
-	if !found {
-		t.Errorf("no sweep row with the job-path key %s: hashing diverged between paths", key)
-	}
 
-	// The same sweep again: all memoized, zero new simulations.
+	// The same sweep again: all cached, zero new simulations.
 	resp2, err := cl.Sweep(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp2.Simulations != 0 {
-		t.Errorf("repeated sweep simulated %d cells, want 0 (memoized)", resp2.Simulations)
+		t.Errorf("repeated sweep simulated %d cells, want 0 (cached)", resp2.Simulations)
 	}
 
 	// Validation: configs naming workloads are rejected.
@@ -319,6 +344,50 @@ func TestSweepEndpoint(t *testing.T) {
 		Configs: []client.JobRequest{{Workload: "m88ksim"}},
 	}); err == nil {
 		t.Error("sweep config naming a workload was accepted")
+	}
+}
+
+// TestSweepRespectsWorkerBound: sweep cells run in the engine's worker
+// slots like jobs, so a one-worker daemon simulates a sweep's cells one
+// at a time, and each simulated cell counts once on /metrics.
+func TestSweepRespectsWorkerBound(t *testing.T) {
+	srv, cl := newTestServer(t, Config{Engine: EngineConfig{Workers: 1}})
+	var mu sync.Mutex
+	calls, running, peak := 0, 0, 0
+	srv.engine.runSim = func(ctx context.Context, cfg tcsim.Config, w string) (tcsim.Result, error) {
+		mu.Lock()
+		calls++
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		time.Sleep(5 * time.Millisecond) // hold the slot long enough for any overlap to show
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return tcsim.Result{Retired: cfg.MaxInsts, Cycles: cfg.MaxInsts, IPC: 1}, nil
+	}
+	resp, err := cl.Sweep(context.Background(), &client.SweepRequest{
+		Workloads: []string{"m88ksim", "compress"},
+		Configs:   []client.JobRequest{{}, {Preset: client.PresetAll}},
+		Insts:     testInsts,
+	})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 4 || peak != 1 {
+		t.Errorf("sweep made %d runSim calls with up to %d in flight, want 4 with at most 1", calls, peak)
+	}
+	if resp.Simulations != 4 {
+		t.Errorf("sweep reports %d simulations, want 4", resp.Simulations)
+	}
+	m, _ := scrapeMetrics(t, cl.Base())
+	if got := m["tcserved_sweep_simulations_total"]; got != 4 {
+		t.Errorf("tcserved_sweep_simulations_total = %v, want 4", got)
+	}
+	if got := m[`tcserved_cache_requests_total{result="miss"}`]; got != 4 {
+		t.Errorf("sweep cells made %v cache misses, want 4", got)
 	}
 }
 

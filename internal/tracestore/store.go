@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"tcsim/internal/asm"
+	"tcsim/internal/emu"
 	"tcsim/internal/obs"
 	"tcsim/internal/workload"
 )
 
-// DefaultMaxBytes bounds the shared store's resident trace bytes. All
+// DefaultMaxBytes bounds a store's resident trace bytes by default. All
 // fifteen bundled workloads at the default 300k-instruction budget fit
 // comfortably (~100 MiB); the LRU evicts least-recently-replayed traces
 // beyond the cap.
@@ -83,9 +84,10 @@ type captureFlight struct {
 	err  error
 }
 
-// Store is a bounded, process-wide LRU of captured traces with
-// singleflight capture: concurrent Gets for the same (workload, budget)
-// run one capture and share it. Safe for concurrent use.
+// Store is a bounded LRU of captured traces with singleflight capture:
+// concurrent Gets for the same (workload, budget) run one capture and
+// share it. Every run that should share captures must be handed the
+// same Store; there is no process-wide one. Safe for concurrent use.
 type Store struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -126,13 +128,6 @@ func NewStore(maxBytes int64) *Store {
 		flights:  make(map[key]*captureFlight),
 	}
 }
-
-var shared = NewStore(0)
-
-// Shared returns the process-wide store every workload run goes
-// through: tcsim.RunWorkload, the experiments sweep runner, and tcserved
-// jobs all capture once and replay many here.
-func Shared() *Store { return shared }
 
 // SetDir points the store at an on-disk trace directory: Gets that miss
 // in memory try to load a persisted trace before capturing, and fresh
@@ -201,6 +196,62 @@ func (s *Store) GetCtx(ctx context.Context, name string, budget uint64) (*Entry,
 // when the full trace would not fit the store.
 func (s *Store) GetCheckpointLog(ctx context.Context, name string, budget uint64) (*Entry, Outcome, error) {
 	return s.get(ctx, key{name: name, budget: budget, ckpt: true})
+}
+
+// RunSource is the correct-path stream one workload run draws from, as
+// picked by Source.
+type RunSource struct {
+	// Prog is the program image the run executes.
+	Prog *asm.Program
+	// Oracle serves the stream: a Replay of the full trace, a CkptSource
+	// over a checkpoint log, or nil to emulate live.
+	Oracle emu.Source
+	// Future is the replayed full trace, the future-reference index that
+	// oracle replacement policies consult; nil for any other source.
+	// Assign it to an interface only when non-nil.
+	Future *Trace
+	// Outcome reports how the store served Oracle (unset when live).
+	Outcome Outcome
+	// Captured is the record count of a full-trace capture this call
+	// made; 0 for replays, checkpoint logs and live runs.
+	Captured uint64
+}
+
+// Phase names the source for profile labels: "capture", "replay" or
+// "live".
+func (r RunSource) Phase() string {
+	if r.Oracle == nil {
+		return "live"
+	}
+	return r.Outcome.String()
+}
+
+// Source picks the stream a run of workload name at budget draws from;
+// it is the one place that choice is made. Budgets up to
+// FullCaptureLimit replay the full trace, captured on first use. Larger
+// budgets would not fit a full trace in the store (a 50M-inst trace is
+// ~850MB): a seek-mode sampled run (seek) replays a checkpoint log
+// through a CkptSource whose ring holds lead records, and anything else
+// emulates live. A store failure also falls back to live emulation.
+func (s *Store) Source(ctx context.Context, name string, budget uint64, seek bool, lead int) (RunSource, error) {
+	w, ok := workload.ByName(name)
+	if !ok {
+		return RunSource{}, fmt.Errorf("tracestore: unknown workload %q", name)
+	}
+	if budget <= FullCaptureLimit {
+		if ent, outcome, err := s.GetCtx(ctx, name, budget); err == nil {
+			src := RunSource{Prog: ent.Prog, Oracle: ent.Trace.NewReplay(), Future: ent.Trace, Outcome: outcome}
+			if outcome == OutcomeCapture {
+				src.Captured = ent.Trace.Len()
+			}
+			return src, nil
+		}
+	} else if seek {
+		if ent, outcome, err := s.GetCheckpointLog(ctx, name, budget); err == nil {
+			return RunSource{Prog: ent.Prog, Oracle: NewCkptSource(ent.Prog, ent.Trace, lead), Outcome: outcome}, nil
+		}
+	}
+	return RunSource{Prog: w.Build()}, nil
 }
 
 func (s *Store) get(ctx context.Context, k key) (*Entry, Outcome, error) {
@@ -410,14 +461,4 @@ func (s *Store) insert(k key, ent *Entry) {
 		s.bytes -= victim.bytes
 		s.evictions.Add(1)
 	}
-}
-
-// Reset drops every resident trace and zeroes nothing else (counters
-// keep accumulating). Test hook.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	s.entries = make(map[key]*entry)
-	s.head, s.tail = nil, nil
-	s.bytes = 0
-	s.mu.Unlock()
 }

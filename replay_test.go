@@ -20,35 +20,30 @@ func TestReplayStaysAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWorkloadRunsAreCaptureThenReplay: the first RunWorkload of a
-// (workload, budget) pair captures into the shared store, later runs
-// replay — observable only through the store counters, because the
-// results themselves are bit-for-bit identical (to each other AND to a
+// TestWorkloadRunsAreCaptureThenReplay: the first run of a (workload,
+// budget) pair captures into the store it is handed, later runs replay —
+// observable only through the store counters, because the results
+// themselves are bit-for-bit identical (to each other AND to a
 // live-emulated run that bypasses the store entirely).
 func TestWorkloadRunsAreCaptureThenReplay(t *testing.T) {
 	cfg := tcsim.DefaultConfig()
-	cfg.MaxInsts = 7321 // budget unlikely to be resident from other tests
+	cfg.MaxInsts = 7321
+	st := tcsim.NewTraceStore(0)
 
-	before := tcsim.TraceStats()
-	first, err := tcsim.RunWorkload(cfg, "li")
+	first, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "li", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid := tcsim.TraceStats()
-	second, err := tcsim.RunWorkload(cfg, "li")
+	if got := st.Stats(); got.Captures != 1 || got.ReplayHits != 0 {
+		t.Errorf("cold run: %d captures, %d replay hits; want 1, 0", got.Captures, got.ReplayHits)
+	}
+	second, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "li", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := tcsim.TraceStats()
-
-	if got := mid.Captures - before.Captures; got != 1 {
-		t.Errorf("first run captured %d times, want 1", got)
-	}
-	if got := after.Captures - mid.Captures; got != 0 {
-		t.Errorf("second run captured %d times, want 0", got)
-	}
-	if got := after.ReplayHits - mid.ReplayHits; got != 1 {
-		t.Errorf("second run had %d replay hits, want 1", got)
+	after := st.Stats()
+	if after.Captures != 1 || after.ReplayHits != 1 {
+		t.Errorf("cold then warm: %d captures, %d replay hits; want 1, 1", after.Captures, after.ReplayHits)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("capture-run and replay-run results differ")
@@ -59,15 +54,25 @@ func TestWorkloadRunsAreCaptureThenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := tcsim.Run(cfg, prog)
+	live, err := tcsim.RunContext(t.Context(), cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first, live) {
 		t.Error("store-served run differs from live-emulated run")
 	}
-	if tcsim.TraceStats().Captures != after.Captures {
-		t.Error("Run(prog) went through the trace store; it must emulate live")
+	if st.Stats() != after {
+		t.Error("RunContext(prog) went through the trace store; it must emulate live")
+	}
+}
+
+// TestWorkloadRunNeedsStore: there is no process-wide fallback store, so
+// a workload run without one is an error, not a panic.
+func TestWorkloadRunNeedsStore(t *testing.T) {
+	cfg := tcsim.DefaultConfig()
+	cfg.MaxInsts = 1000
+	if _, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "li", nil); err == nil {
+		t.Error("workload run with a nil store succeeded")
 	}
 }
 
@@ -89,7 +94,8 @@ func TestCaptureTimelineEvent(t *testing.T) {
 		return n
 	}
 
-	cold, err := tcsim.RunWorkload(cfg, "perl")
+	st := tcsim.NewTraceStore(0)
+	cold, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "perl", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +107,7 @@ func TestCaptureTimelineEvent(t *testing.T) {
 		t.Errorf("capture event = %+v, want cycle-0 event with records and budget %d", ev, cfg.MaxInsts)
 	}
 
-	warm, err := tcsim.RunWorkload(cfg, "perl")
+	warm, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "perl", st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,12 @@ func TestSampledWorkloadDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInsts = 300_000
 	cfg.Sampling = SamplingConfig{Period: 60_000, WindowLen: 10_000, Warmup: 5_000}
-	a, err := RunWorkload(cfg, "compress")
+	st := NewTraceStore(0)
+	a, err := RunWorkloadContextIn(t.Context(), cfg, "compress", st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunWorkload(cfg, "compress")
+	b, err := RunWorkloadContextIn(t.Context(), cfg, "compress", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,8 @@ func TestSampledWorkloadDeterminism(t *testing.T) {
 func TestSampledMatchesExactWorkload(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInsts = 300_000
-	exact, err := RunWorkload(cfg, "li")
+	st := NewTraceStore(0)
+	exact, err := RunWorkloadContextIn(t.Context(), cfg, "li", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func TestSampledMatchesExactWorkload(t *testing.T) {
 		t.Error("exact run attached Result.Sampled")
 	}
 	cfg.Sampling = SamplingConfig{Period: 60_000, WindowLen: 10_000, Warmup: 5_000}
-	sampled, err := RunWorkload(cfg, "li")
+	sampled, err := RunWorkloadContextIn(t.Context(), cfg, "li", st)
 	if err != nil {
 		t.Fatal(err)
 	}

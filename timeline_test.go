@@ -17,7 +17,8 @@ func TestTimelineDoesNotPerturbSimulation(t *testing.T) {
 	cfg.MaxInsts = 50_000
 	cfg.Passes = tcsim.DefaultPassSpec()
 
-	plain, err := tcsim.RunWorkload(cfg, "m88ksim")
+	st := tcsim.NewTraceStore(0)
+	plain, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "m88ksim", st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestTimelineDoesNotPerturbSimulation(t *testing.T) {
 	}
 
 	cfg.Timeline = true
-	traced, err := tcsim.RunWorkload(cfg, "m88ksim")
+	traced, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "m88ksim", st)
 	if err != nil {
 		t.Fatal(err)
 	}

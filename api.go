@@ -9,6 +9,7 @@ import (
 
 	"tcsim/internal/asm"
 	"tcsim/internal/core"
+	"tcsim/internal/exec"
 	"tcsim/internal/experiments"
 	"tcsim/internal/obs"
 	"tcsim/internal/pipeline"
@@ -23,18 +24,6 @@ import (
 // Callers should match it with errors.Is; the context's own error is
 // attached as well.
 var ErrCanceled = pipeline.ErrCanceled
-
-// Options selects the fill unit's dynamic trace optimizations. It is an
-// alias of the core type, not a copy: a pass added to the fill unit is
-// automatically selectable here, and the two can never drift apart.
-// Fields: Moves (paper §4.2), Reassoc (§4.3), ScaledAdds (§4.4),
-// Placement (§4.5), and DeadWriteElim — the extension the paper's
-// conclusion proposes, experimental and not part of AllOptions.
-type Options = core.Optimizations
-
-// AllOptions enables every optimization (the paper's combined
-// configuration).
-func AllOptions() Options { return core.AllOptimizations() }
 
 // PassStat is one optimization pass's counters from a run: segments
 // processed and touched, instructions rewritten, dependency edges
@@ -59,8 +48,9 @@ func Passes() []PassDesc {
 	return out
 }
 
-// DefaultPassSpec returns the paper's combined pipeline spec (every
-// Default pass in canonical order) — what Opt = AllOptions() runs.
+// DefaultPassSpec returns the paper's combined pipeline spec: every
+// Default pass in canonical order. Set Config.Passes to it to run the
+// paper's combined machine.
 func DefaultPassSpec() []string { return core.DefaultPassSpec() }
 
 // ValidatePassSpec checks a pass spec: every name registered, no
@@ -68,6 +58,14 @@ func DefaultPassSpec() []string { return core.DefaultPassSpec() }
 // runs inside every simulator construction; use this to fail fast (e.g.
 // on CLI flag parsing).
 func ValidatePassSpec(spec []string) error { return core.ValidateSpec(spec) }
+
+// ValidateGeometry checks a Clusters x FUsPerCluster backend against the
+// simulator's bounds (non-positive values select the paper's 4 x 4).
+// The same check runs inside every simulator construction; use this to
+// fail fast on CLI flags or wire requests.
+func ValidateGeometry(clusters, fusPerCluster int) error {
+	return exec.ValidateGeometry(clusters, fusPerCluster)
+}
 
 // PolicyDesc describes one registered cache replacement policy
 // (selectable via Config.TCPolicy / Config.ICPolicy).
@@ -102,12 +100,11 @@ func ValidatePolicy(name string) error { return replace.Validate(name) }
 // Config describes one simulated machine. Zero values select the
 // paper's baseline; construct with DefaultConfig and override fields.
 type Config struct {
-	// Opt selects the fill-unit optimizations (all off = baseline).
-	Opt Options
-	// Passes explicitly selects and orders the optimization pipeline by
-	// registered pass name (see Passes). Empty derives the paper's
-	// canonical order from Opt; non-empty overrides Opt. Illegal orders
-	// are rejected at simulator construction, never silently reordered.
+	// Passes selects and orders the fill-unit optimization pipeline by
+	// registered pass name (see Passes). Empty is the baseline: no pass
+	// runs; DefaultPassSpec is the paper's combined configuration.
+	// Illegal orders are rejected at simulator construction, never
+	// silently reordered.
 	Passes []string
 	// TimePasses collects per-pass wall time into Result.PassStats
 	// (off by default: it adds two clock reads per pass per segment).
@@ -183,7 +180,6 @@ func DefaultConfig() Config {
 
 func (c Config) pipelineConfig() pipeline.Config {
 	pc := pipeline.DefaultConfig()
-	pc.Fill.Opt = c.Opt
 	pc.Fill.Passes = c.Passes
 	pc.Fill.TimePasses = c.TimePasses
 	if c.FillLatency > 0 {
@@ -547,18 +543,11 @@ func NewSuite(insts uint64) *Suite {
 // executed so far (memoized reuse excluded).
 func (s *Suite) Simulations() uint64 { return s.r.SimCount() }
 
-// ReproduceFigure regenerates one of the paper's tables or figures and
-// returns it formatted. Valid ids: "table1", "fig3", "fig4", "fig5",
-// "fig6", "fig7", "fig8", "table2", "ablations". insts bounds each
-// simulation (0 = the workloads' defaults). Each call builds a fresh
-// Suite; callers reproducing several figures should share one Suite so
-// common sweeps are simulated only once.
-func ReproduceFigure(id string, insts uint64) (string, error) {
-	return NewSuite(insts).Reproduce(id)
-}
-
-// Reproduce regenerates one table or figure (ids as ReproduceFigure),
-// reusing every simulation the suite has already run.
+// Reproduce regenerates one of the paper's tables or figures and returns
+// it formatted. Valid ids: "table1", "fig3", "fig4", "fig5", "fig6",
+// "fig7", "fig8", "table2", "ablations". It reuses every simulation the
+// suite has already run, so callers reproducing several figures should
+// share one Suite.
 func (s *Suite) Reproduce(id string) (string, error) {
 	r := s.r
 	insts := r.Insts

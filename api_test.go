@@ -82,7 +82,7 @@ func TestOptionsChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := tcsim.DefaultConfig()
-	cfg.Opt = tcsim.AllOptions()
+	cfg.Passes = tcsim.DefaultPassSpec()
 	r, err := tcsim.RunContext(t.Context(), cfg, p)
 	if err != nil {
 		t.Fatal(err)
@@ -113,18 +113,48 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
+// TestGeometryBound: every backend geometry the experiments use is
+// accepted, and an unbounded one is an error from construction — never
+// a panic or a huge allocation.
+func TestGeometryBound(t *testing.T) {
+	for _, g := range [][2]int{{1, 1}, {2, 1}, {4, 4}, {8, 2}, {1, 16}, {0, 0}} {
+		if err := tcsim.ValidateGeometry(g[0], g[1]); err != nil {
+			t.Errorf("geometry %dx%d rejected: %v", g[0], g[1], err)
+		}
+	}
+	for _, g := range [][2]int{{65, 1}, {1, 257}, {32, 16}, {1 << 31, 1 << 31}} {
+		if err := tcsim.ValidateGeometry(g[0], g[1]); err == nil {
+			t.Errorf("geometry %dx%d accepted", g[0], g[1])
+		}
+	}
+	p, err := tcsim.Assemble(apiTestProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tcsim.DefaultConfig()
+	cfg.Clusters, cfg.FUsPerCluster = 1<<31, 1<<31
+	cfg.MaxInsts = 1000
+	if _, err := tcsim.RunContext(t.Context(), cfg, p); err == nil {
+		t.Error("RunContext accepted a 2^31 x 2^31 backend")
+	}
+	if _, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "m88ksim", tcsim.NewTraceStore(0)); err == nil {
+		t.Error("RunWorkloadContextIn accepted a 2^31 x 2^31 backend")
+	}
+}
+
 func TestReproduceFigureIDs(t *testing.T) {
 	if len(tcsim.ExperimentIDs()) != 9 {
 		t.Fatalf("ids = %v", tcsim.ExperimentIDs())
 	}
-	out, err := tcsim.ReproduceFigure("table1", 0)
+	s := tcsim.NewSuite(0)
+	out, err := s.Reproduce("table1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "compress") {
 		t.Error("table1 output incomplete")
 	}
-	if _, err := tcsim.ReproduceFigure("fig99", 0); err == nil {
+	if _, err := s.Reproduce("fig99"); err == nil {
 		t.Error("unknown figure should fail")
 	}
 }

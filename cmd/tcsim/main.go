@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	tcsim -workload m88ksim -insts 300000 -opt all
-//	tcsim -workload gcc -budget 50000000 -sample auto
-//	tcsim -asm prog.s -opt moves,place
+//	tcsim -workload m88ksim -insts 300000 -passes all
+//	tcsim -workload gcc -insts 50000000 -sample auto
+//	tcsim -asm prog.s -passes moves,place
 //	tcsim -workload gcc -passes reassoc,moves,scadd,place -time-passes
 //	tcsim -list
 //	tcsim -list-passes
@@ -36,11 +36,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		wl       = fs.String("workload", "", "bundled benchmark to run (see -list)")
 		asmFile  = fs.String("asm", "", "TCR assembly file to assemble and run")
-		insts    = fs.Uint64("insts", 0, "retired-instruction budget (0 = workload default / run to halt)")
-		budget   = fs.Uint64("budget", 0, "retired-instruction budget for long runs (same as -insts; pair with -sample to keep wall time flat)")
+		insts    = fs.Uint64("insts", 0, "retired-instruction budget (0 = workload default / run to halt); pair long runs with -sample to keep wall time flat")
 		sample   = fs.String("sample", "", "sampled timing plan: 'auto', or 'period,window,warmup', optionally with ',seek' to skip gaps via checkpoint seek (needs -workload); default off = exact simulation")
-		opts     = fs.String("opt", "", "fill-unit optimizations: comma list of moves,reassoc,scadd,place, or 'all'")
-		passes   = fs.String("passes", "", "explicit pass pipeline, ordered (e.g. reassoc,moves,scadd,place); overrides -opt; see -list-passes")
+		passes   = fs.String("passes", "", "fill-unit pass pipeline, ordered (e.g. reassoc,moves,scadd,place), or 'all' for the paper's combined configuration; default none = baseline; see -list-passes")
 		listPass = fs.Bool("list-passes", false, "list registered optimization passes and exit")
 		tcPolicy = fs.String("tc-policy", "", "trace-cache replacement policy (default "+tcsim.DefaultPolicy()+"; see -list-policies); 'belady' needs -workload")
 		icPolicy = fs.String("ic-policy", "", "L1 instruction-cache replacement policy (default "+tcsim.DefaultPolicy()+")")
@@ -93,12 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := tcsim.DefaultConfig()
 	cfg.MaxInsts = *insts
-	if *budget != 0 {
-		if *insts != 0 && *insts != *budget {
-			return usagef("pass either -insts or -budget, not both")
-		}
-		cfg.MaxInsts = *budget
-	}
 	if *sample != "" {
 		plan, err := tcsim.ParseSamplingSpec(*sample, cfg.MaxInsts)
 		if err != nil {
@@ -116,6 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.InactiveIssue = !*noInact
 	cfg.Clusters = *clusters
 	cfg.FUsPerCluster = *fus
+	if err := tcsim.ValidateGeometry(cfg.Clusters, cfg.FUsPerCluster); err != nil {
+		return usagef("%v", err)
+	}
 	cfg.TimePasses = *timePass
 	cfg.Timeline = *timeline != ""
 	cfg.TimelineEvents = *tlEvents
@@ -126,31 +121,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usagef("%v", err)
 		}
 	}
-	if *passes != "" {
-		if *opts != "" {
-			return usagef("pass either -opt or -passes, not both")
-		}
+	if *passes == "all" {
+		cfg.Passes = tcsim.DefaultPassSpec()
+	} else {
 		cfg.Passes = splitSpec(*passes)
-		if err := tcsim.ValidatePassSpec(cfg.Passes); err != nil {
-			return usagef("%v", err)
-		}
 	}
-	for _, o := range strings.Split(*opts, ",") {
-		switch strings.TrimSpace(o) {
-		case "":
-		case "all":
-			cfg.Opt = tcsim.AllOptions()
-		case "moves":
-			cfg.Opt.Moves = true
-		case "reassoc":
-			cfg.Opt.Reassoc = true
-		case "scadd":
-			cfg.Opt.ScaledAdds = true
-		case "place":
-			cfg.Opt.Placement = true
-		default:
-			return usagef("unknown optimization %q (valid: moves,reassoc,scadd,place,all)", o)
-		}
+	if err := tcsim.ValidatePassSpec(cfg.Passes); err != nil {
+		return usagef("%v", err)
 	}
 	store := tcsim.NewTraceStore(0)
 	if *traceDir != "" {

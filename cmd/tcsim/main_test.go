@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"tcsim"
 )
 
 // TestBadFlagsExitNonZero covers the CLI's validation exit paths: every
@@ -17,8 +19,12 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 	}{
 		{"unknown pass", []string{"-workload", "m88ksim", "-passes", "bogus"}, "unknown pass"},
 		{"illegal order", []string{"-workload", "m88ksim", "-passes", "place,moves"}, "illegal pass order"},
-		{"opt and passes", []string{"-workload", "m88ksim", "-opt", "all", "-passes", "moves"}, "not both"},
-		{"unknown opt", []string{"-workload", "m88ksim", "-opt", "nosuch"}, "unknown optimization"},
+		// -opt and -budget are gone: -passes and -insts are the one
+		// spelling of each setting.
+		{"opt and passes", []string{"-workload", "m88ksim", "-opt", "all", "-passes", "moves"}, "flag provided but not defined: -opt"},
+		{"unknown opt", []string{"-workload", "m88ksim", "-opt", "nosuch"}, "flag provided but not defined: -opt"},
+		{"budget", []string{"-workload", "m88ksim", "-budget", "5000"}, "flag provided but not defined: -budget"},
+		{"huge geometry", []string{"-workload", "m88ksim", "-clusters", "2147483648", "-fus-per-cluster", "2147483648"}, "exceeds the backend bound"},
 		{"workload and asm", []string{"-workload", "m88ksim", "-asm", "x.s"}, "not both"},
 		{"no input", nil, "pass -workload"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
@@ -27,8 +33,8 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			code := run(tc.args, &stdout, &stderr)
-			if code == 0 {
-				t.Fatalf("run(%q) = 0, want non-zero", tc.args)
+			if code != 2 {
+				t.Fatalf("run(%q) = %d, want 2", tc.args, code)
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Errorf("stderr %q does not contain %q", stderr.String(), tc.want)
@@ -40,6 +46,32 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 				t.Errorf("validation error leaked to stdout: %q", stdout.String())
 			}
 		})
+	}
+}
+
+// TestPassesAllRunsCombinedSpec: -passes all runs exactly the paper's
+// combined spec, in order, and prints the same statistics as spelling
+// that spec out.
+func TestPassesAllRunsCombinedSpec(t *testing.T) {
+	var all, spelled, stderr bytes.Buffer
+	args := []string{"-workload", "m88ksim", "-insts", "5000", "-passes"}
+	if code := run(append(args, "all"), &all, &stderr); code != 0 {
+		t.Fatalf("-passes all: exit code = %d, stderr %q", code, stderr.String())
+	}
+	if code := run(append(args, strings.Join(tcsim.DefaultPassSpec(), ",")), &spelled, &stderr); code != 0 {
+		t.Fatalf("spelled-out spec: exit code = %d, stderr %q", code, stderr.String())
+	}
+	if all.String() != spelled.String() {
+		t.Errorf("-passes all output differs from the spelled-out default spec:\n%s\nvs\n%s", all.String(), spelled.String())
+	}
+	var ran []string
+	for _, line := range strings.Split(all.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "pass" {
+			ran = append(ran, f[1])
+		}
+	}
+	if got, want := strings.Join(ran, ","), "reassoc,moves,scadd,place"; got != want {
+		t.Errorf("-passes all ran %q, want %q", got, want)
 	}
 }
 
@@ -58,7 +90,7 @@ func TestUnknownWorkloadFails(t *testing.T) {
 // statistics to stdout.
 func TestHappyPath(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-workload", "m88ksim", "-insts", "5000", "-opt", "all"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-workload", "m88ksim", "-insts", "5000", "-passes", "all"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, stderr %q", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "IPC") {

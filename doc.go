@@ -30,6 +30,6 @@
 // figures are built from. Workload runs capture each program's
 // instruction stream once into the TraceStore they are handed and
 // replay it afterwards. The experiment harness that regenerates every
-// table and figure lives behind Suite (NewSuite, ReproduceFigure) and
+// table and figure lives behind Suite (NewSuite, Suite.Reproduce) and
 // the cmd/tcexp tool.
 package tcsim

@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := tcsim.DefaultConfig()
-	cfg.Opt = tcsim.AllOptions()
+	cfg.Passes = tcsim.DefaultPassSpec()
 	opt, err := tcsim.RunContext(ctx, cfg, prog)
 	if err != nil {
 		log.Fatal(err)

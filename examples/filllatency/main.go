@@ -21,7 +21,7 @@ func main() {
 		var first float64
 		for _, lat := range []int{1, 5, 10, 20} {
 			cfg := tcsim.DefaultConfig()
-			cfg.Opt = tcsim.AllOptions()
+			cfg.Passes = tcsim.DefaultPassSpec()
 			cfg.FillLatency = lat
 			cfg.MaxInsts = 80_000
 			r, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, name, st)

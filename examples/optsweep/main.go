@@ -14,14 +14,14 @@ import (
 func main() {
 	benchmarks := []string{"compress", "m88ksim", "chess", "ijpeg", "vortex"}
 	variants := []struct {
-		name string
-		opt  tcsim.Options
+		name   string
+		passes []string
 	}{
-		{"moves (Fig 3)", tcsim.Options{Moves: true}},
-		{"reassociation (Fig 4)", tcsim.Options{Reassoc: true}},
-		{"scaled adds (Fig 5)", tcsim.Options{ScaledAdds: true}},
-		{"placement (Fig 6)", tcsim.Options{Placement: true}},
-		{"combined (Fig 8)", tcsim.AllOptions()},
+		{"moves (Fig 3)", []string{"moves"}},
+		{"reassociation (Fig 4)", []string{"reassoc"}},
+		{"scaled adds (Fig 5)", []string{"scadd"}},
+		{"placement (Fig 6)", []string{"place"}},
+		{"combined (Fig 8)", tcsim.DefaultPassSpec()},
 	}
 
 	cfg := tcsim.DefaultConfig()
@@ -52,7 +52,7 @@ func main() {
 
 	for _, v := range variants {
 		c := cfg
-		c.Opt = v.opt
+		c.Passes = v.passes
 		fmt.Printf("%-22s", v.name)
 		for _, b := range benchmarks {
 			r, err := tcsim.RunWorkloadContextIn(ctx, c, b, st)

@@ -16,7 +16,7 @@ func main() {
 	base.MaxInsts = 100_000
 
 	opt := base
-	opt.Opt = tcsim.AllOptions()
+	opt.Passes = tcsim.DefaultPassSpec()
 
 	// Both runs share one trace store: the first captures the program's
 	// instruction stream, the second replays it.

@@ -17,7 +17,7 @@ import (
 func main() {
 	cfg := tcsim.DefaultConfig()
 	cfg.MaxInsts = 50_000
-	cfg.Opt = tcsim.AllOptions()
+	cfg.Passes = tcsim.DefaultPassSpec()
 	cfg.Timeline = true // attach the recorder; the run itself is unchanged
 
 	res, err := tcsim.RunWorkloadContextIn(context.Background(), cfg, "m88ksim", tcsim.NewTraceStore(0))

@@ -22,7 +22,7 @@ func TestFillSteadyStateAllocs(t *testing.T) {
 	}
 	m := emu.New(w.Build())
 	cfg := DefaultConfig()
-	cfg.Opt = AllOptimizations()
+	cfg.Passes = DefaultPassSpec()
 	f := MustNew(cfg, bpred.NewBiasTable(8<<10, 64))
 
 	seq := uint64(0)

@@ -25,37 +25,13 @@ import (
 	"tcsim/internal/trace"
 )
 
-// Optimizations selects which fill-unit passes run.
-type Optimizations struct {
-	Moves      bool // mark register moves; executed by rename (paper §4.2)
-	Reassoc    bool // combine immediates of dependent ADDIs (paper §4.3)
-	ScaledAdds bool // collapse short shifts into dependent ops (paper §4.4)
-	Placement  bool // cluster-aware issue-slot assignment (paper §4.5)
-
-	// DeadWriteElim is the extension the paper's conclusion proposes
-	// (dead code elimination in the fill unit), restricted to killers in
-	// the same checkpoint block so no new recovery mechanism is needed.
-	// Not part of AllOptimizations: the paper's combined figures exclude
-	// it.
-	DeadWriteElim bool
-}
-
-// AllOptimizations enables every pass (the paper's combined
-// configuration, Figure 8).
-func AllOptimizations() Optimizations {
-	return Optimizations{Moves: true, Reassoc: true, ScaledAdds: true, Placement: true}
-}
-
 // Config parameterizes the fill unit.
 type Config struct {
-	Opt Optimizations
-
-	// Passes explicitly selects and orders the optimization pipeline by
-	// registered pass name (see RegisterPass; built-ins: reassoc, moves,
-	// scadd, deadwrite, place). Empty means "derive from Opt in the
-	// paper's canonical order", which preserves the paper's exact
-	// behavior. A non-empty spec overrides Opt; illegal orders are
-	// rejected by New, never silently reordered.
+	// Passes selects and orders the optimization pipeline by registered
+	// pass name (see RegisterPass; built-ins: reassoc, moves, scadd,
+	// deadwrite, place). Empty is the baseline: no pass runs.
+	// DefaultPassSpec is the paper's combined configuration. Illegal
+	// orders are rejected by New, never silently reordered.
 	Passes []string
 
 	// TimePasses records per-pass wall time in the pipeline's PassStats.

@@ -41,9 +41,7 @@ func init() {
 		Order: 40,
 		// Not Default: the paper's combined figures exclude the
 		// conclusion's proposed extension.
-		Enabled: func(o Optimizations) bool { return o.DeadWriteElim },
-		Enable:  func(o *Optimizations) { o.DeadWriteElim = true },
-		New:     func(f *FillUnit) OptPass { return &deadwritePass{f} },
+		New: func(f *FillUnit) OptPass { return &deadwritePass{f} },
 	})
 }
 

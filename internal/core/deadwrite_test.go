@@ -9,7 +9,7 @@ import (
 
 func deadCfg() Config {
 	cfg := DefaultConfig()
-	cfg.Opt.DeadWriteElim = true
+	cfg.Passes = []string{"deadwrite"}
 	return cfg
 }
 
@@ -82,9 +82,11 @@ func TestDeadWriteMemControlExcluded(t *testing.T) {
 
 func TestDeadWriteDisabledByDefault(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Opt = AllOptimizations()
-	if cfg.Opt.DeadWriteElim {
-		t.Fatal("DeadWriteElim must not be part of AllOptimizations")
+	cfg.Passes = DefaultPassSpec()
+	for _, name := range cfg.Passes {
+		if name == "deadwrite" {
+			t.Fatal("deadwrite must not be part of DefaultPassSpec")
+		}
 	}
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 1)
@@ -98,11 +100,8 @@ func TestDeadWriteDisabledByDefault(t *testing.T) {
 
 // The master equivalence property must hold with the extension on.
 func TestDeadWriteSemanticEquivalence(t *testing.T) {
-	cfg := deadCfg()
-	cfg.Opt.Moves = true
-	cfg.Opt.Reassoc = true
-	cfg.Opt.ScaledAdds = true
-	cfg.Opt.Placement = true
+	cfg := DefaultConfig()
+	cfg.Passes = []string{"reassoc", "moves", "scadd", "deadwrite", "place"}
 	cfg.ReassocCrossBlockOnly = false
 	checkSemanticEquivalence(t, cfg, mixedProgram, 20000)
 }

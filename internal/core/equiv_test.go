@@ -83,24 +83,29 @@ func checkSemanticEquivalence(t *testing.T, cfg Config, build func(*asm.Builder)
 	}
 }
 
-// allOptCombos enumerates the 16 on/off combinations of the four passes.
-func allOptCombos() []Optimizations {
-	var out []Optimizations
-	for m := 0; m < 16; m++ {
-		out = append(out, Optimizations{
-			Moves:      m&1 != 0,
-			Reassoc:    m&2 != 0,
-			ScaledAdds: m&4 != 0,
-			Placement:  m&8 != 0,
-		})
+// builtinPasses is the five built-in passes in canonical order.
+var builtinPasses = []string{"reassoc", "moves", "scadd", "deadwrite", "place"}
+
+// allPassSubsets enumerates the 32 subsets of the built-in passes, each
+// in canonical order (the empty subset is the baseline).
+func allPassSubsets() [][]string {
+	var out [][]string
+	for m := 0; m < 1<<len(builtinPasses); m++ {
+		var spec []string
+		for i, name := range builtinPasses {
+			if m&(1<<i) != 0 {
+				spec = append(spec, name)
+			}
+		}
+		out = append(out, spec)
 	}
 	return out
 }
 
 func TestSemanticEquivalenceMixedProgram(t *testing.T) {
-	for _, opt := range allOptCombos() {
+	for _, spec := range allPassSubsets() {
 		cfg := DefaultConfig()
-		cfg.Opt = opt
+		cfg.Passes = spec
 		cfg.ReassocCrossBlockOnly = false // widest applicability
 		checkSemanticEquivalence(t, cfg, mixedProgram, 20000)
 	}
@@ -183,11 +188,11 @@ func blockLabel(i int) string { return "blk" + string(rune('a'+i)) }
 
 func TestSemanticEquivalenceRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260706))
-	combos := allOptCombos()
+	combos := allPassSubsets()
 	for trial := 0; trial < 24; trial++ {
 		prog := randomProgram(rng)
 		cfg := DefaultConfig()
-		cfg.Opt = combos[trial%len(combos)]
+		cfg.Passes = combos[trial%len(combos)]
 		cfg.ReassocCrossBlockOnly = trial%2 == 0
 		checkSemanticEquivalence(t, cfg, prog, 100000)
 	}
@@ -196,7 +201,7 @@ func TestSemanticEquivalenceRandomPrograms(t *testing.T) {
 func TestSemanticEquivalenceWithPromotionAndPacking(t *testing.T) {
 	for _, packing := range []bool{true, false} {
 		cfg := DefaultConfig()
-		cfg.Opt = AllOptimizations()
+		cfg.Passes = DefaultPassSpec()
 		cfg.TracePacking = packing
 		checkSemanticEquivalence(t, cfg, mixedProgram, 20000)
 	}
@@ -232,15 +237,15 @@ func legalPermutations(passes []string) [][]string {
 // accepts must preserve program semantics. (With place pinned last and
 // reassoc constrained before moves, 12 of the 120 orderings are legal.)
 func TestSemanticEquivalenceLegalPermutations(t *testing.T) {
-	perms := legalPermutations([]string{"reassoc", "moves", "scadd", "deadwrite", "place"})
+	perms := legalPermutations(builtinPasses)
 	if len(perms) != 12 {
 		t.Fatalf("got %d legal permutations, want 12", len(perms))
 	}
 	for _, spec := range perms {
 		cfg := DefaultConfig()
 		cfg.Passes = spec
-		cfg.CheckPasses = true                // validate invariants between passes
-		cfg.ReassocCrossBlockOnly = false     // widest applicability
+		cfg.CheckPasses = true            // validate invariants between passes
+		cfg.ReassocCrossBlockOnly = false // widest applicability
 		checkSemanticEquivalence(t, cfg, mixedProgram, 20000)
 	}
 }
@@ -251,7 +256,7 @@ func TestSegmentInvariantsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		cfg := DefaultConfig()
-		cfg.Opt = AllOptimizations()
+		cfg.Passes = DefaultPassSpec()
 		cfg.ReassocCrossBlockOnly = false
 		segs, _, _, _ := runFill(t, cfg, bias4(), 100000, randomProgram(rng))
 		for _, s := range segs {

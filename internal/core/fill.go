@@ -122,35 +122,26 @@ type pendingSeg struct {
 // New builds a fill unit. bias may be nil to disable promotion lookups
 // regardless of cfg.Promotion.
 //
-// The optimization pipeline is constructed here, once: an explicit
-// cfg.Passes spec selects and orders the passes (and overrides cfg.Opt);
-// an empty spec derives the paper's canonical order from the cfg.Opt
-// booleans. An invalid spec — unknown pass, duplicate, or an order that
-// violates a registered constraint — is an error, never a silent
-// reordering.
+// The optimization pipeline is constructed here, once, from cfg.Passes:
+// the spec selects and orders the passes, and an empty spec runs none.
+// An invalid spec — unknown pass, duplicate, or an order that violates
+// a registered constraint — is an error, never a silent reordering.
 func New(cfg Config, bias *bpred.BiasTable) (*FillUnit, error) {
 	f := &FillUnit{
 		cfg:  cfg.normalize(),
 		bias: bias,
 	}
 	f.armed.init()
-	spec := f.cfg.Passes
-	if len(spec) == 0 {
-		spec = f.cfg.Opt.PassSpec()
-	}
-	p, err := NewPipeline(f, spec)
+	p, err := NewPipeline(f, f.cfg.Passes)
 	if err != nil {
 		return nil, err
 	}
 	f.opts = p
-	// Keep the boolean view coherent with what actually runs, so
-	// Config() reports the effective selection under an explicit spec.
-	f.cfg.Opt = OptimizationsForSpec(spec)
 	return f, nil
 }
 
-// MustNew is New for configurations known to be valid (tests, examples,
-// derived-from-Opt specs); it panics on an invalid pass spec.
+// MustNew is New for configurations known to be valid (tests, examples);
+// it panics on an invalid pass spec.
 func MustNew(cfg Config, bias *bpred.BiasTable) *FillUnit {
 	f, err := New(cfg, bias)
 	if err != nil {

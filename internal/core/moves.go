@@ -40,8 +40,6 @@ func init() {
 		Desc:    "mark register moves for rename-stage execution (paper §4.2)",
 		Order:   20,
 		Default: true,
-		Enabled: func(o Optimizations) bool { return o.Moves },
-		Enable:  func(o *Optimizations) { o.Moves = true },
 		New:     func(f *FillUnit) OptPass { return &movesPass{f} },
 	})
 }

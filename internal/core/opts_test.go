@@ -9,14 +9,14 @@ import (
 	"tcsim/internal/trace"
 )
 
-func onlyOpt(o Optimizations) Config {
+func onlyPass(name string) Config {
 	cfg := DefaultConfig()
-	cfg.Opt = o
+	cfg.Passes = []string{name}
 	return cfg
 }
 
 func TestMoveMarking(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Moves: true})
+	cfg := onlyPass("moves")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4) // 0: producer
 		b.Move(isa.T1, isa.T0)    // 1: move (addi t1 <- t0+0)
@@ -40,7 +40,7 @@ func TestMoveMarking(t *testing.T) {
 }
 
 func TestMoveLiveInRewiring(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Moves: true})
+	cfg := onlyPass("moves")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Move(isa.T1, isa.S0)    // 0: move of live-in s0
 		b.Addi(isa.T2, isa.T1, 8) // 1: consumer -> should become live-in s0
@@ -54,7 +54,7 @@ func TestMoveLiveInRewiring(t *testing.T) {
 }
 
 func TestMoveLiveInRewiringUnsafe(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Moves: true})
+	cfg := onlyPass("moves")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Move(isa.T1, isa.S0)    // 0: move of live-in s0
 		b.Addi(isa.S0, isa.S0, 1) // 1: overwrites s0!
@@ -69,7 +69,7 @@ func TestMoveLiveInRewiringUnsafe(t *testing.T) {
 }
 
 func TestMoveChain(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Moves: true})
+	cfg := onlyPass("moves")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4)     // 0
 		b.Move(isa.T1, isa.T0)        // 1
@@ -89,7 +89,7 @@ func TestMoveChain(t *testing.T) {
 }
 
 func TestMoveLoadZero(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Moves: true})
+	cfg := onlyPass("moves")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Move(isa.T0, isa.R0)        // li 0 idiom
 		b.Add(isa.T1, isa.T0, isa.S0) // consumer
@@ -107,7 +107,7 @@ func TestMoveLoadZero(t *testing.T) {
 }
 
 func TestReassocBasicPair(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	// The pair must cross a block boundary: put a branch between.
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4) // 0: block 0
@@ -135,7 +135,7 @@ func TestReassocBasicPair(t *testing.T) {
 }
 
 func TestReassocSameBlockRejected(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4)
 		b.Addi(isa.T1, isa.T0, 4) // same block: compiler territory
@@ -157,7 +157,7 @@ func TestReassocSameBlockRejected(t *testing.T) {
 }
 
 func TestReassocChainCollapses(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	cfg.ReassocCrossBlockOnly = false
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4)
@@ -173,7 +173,7 @@ func TestReassocChainCollapses(t *testing.T) {
 }
 
 func TestReassocImmediateOverflowRejected(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	cfg.ReassocCrossBlockOnly = false
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 30000)
@@ -186,7 +186,7 @@ func TestReassocImmediateOverflowRejected(t *testing.T) {
 }
 
 func TestReassocMemDisp(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	cfg.ReassocCrossBlockOnly = false
 	build := func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.GP, 16)
@@ -212,7 +212,7 @@ func TestReassocMemDisp(t *testing.T) {
 }
 
 func TestReassocLiveInSafety(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	cfg.ReassocCrossBlockOnly = false
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4) // 0: s0 live-in
@@ -226,7 +226,7 @@ func TestReassocLiveInSafety(t *testing.T) {
 }
 
 func TestReassocSkipsStoreData(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Reassoc: true})
+	cfg := onlyPass("reassoc")
 	cfg.ReassocCrossBlockOnly = false
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Addi(isa.T0, isa.S0, 4)
@@ -239,7 +239,7 @@ func TestReassocSkipsStoreData(t *testing.T) {
 }
 
 func TestScaledAddBasic(t *testing.T) {
-	cfg := onlyOpt(Optimizations{ScaledAdds: true})
+	cfg := onlyPass("scadd")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Slli(isa.T0, isa.S0, 2)     // 0: short shift
 		b.Add(isa.T1, isa.T0, isa.S1) // 1: dependent add
@@ -260,7 +260,7 @@ func TestScaledAddBasic(t *testing.T) {
 }
 
 func TestScaledAddRtOperand(t *testing.T) {
-	cfg := onlyOpt(Optimizations{ScaledAdds: true})
+	cfg := onlyPass("scadd")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Slli(isa.T0, isa.S0, 3)
 		b.Add(isa.T1, isa.S1, isa.T0) // shift feeds Rt
@@ -273,7 +273,7 @@ func TestScaledAddRtOperand(t *testing.T) {
 }
 
 func TestScaledMemoryOps(t *testing.T) {
-	cfg := onlyOpt(Optimizations{ScaledAdds: true})
+	cfg := onlyPass("scadd")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Slli(isa.T0, isa.S0, 2)
 		b.Lwx(isa.T1, isa.GP, isa.T0) // index scaled
@@ -296,7 +296,7 @@ func TestScaledMemoryOps(t *testing.T) {
 }
 
 func TestScaledAddLongShiftRejected(t *testing.T) {
-	cfg := onlyOpt(Optimizations{ScaledAdds: true})
+	cfg := onlyPass("scadd")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Slli(isa.T0, isa.S0, 4) // too far
 		b.Add(isa.T1, isa.T0, isa.S1)
@@ -308,7 +308,7 @@ func TestScaledAddLongShiftRejected(t *testing.T) {
 }
 
 func TestScaledAddOnlyOneOperand(t *testing.T) {
-	cfg := onlyOpt(Optimizations{ScaledAdds: true})
+	cfg := onlyPass("scadd")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Slli(isa.T0, isa.S0, 2)
 		b.Slli(isa.T1, isa.S1, 2)
@@ -332,7 +332,7 @@ func TestScaledAddOnlyOneOperand(t *testing.T) {
 }
 
 func TestScaledStoreDataNotScaled(t *testing.T) {
-	cfg := onlyOpt(Optimizations{ScaledAdds: true})
+	cfg := onlyPass("scadd")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		b.Slli(isa.T0, isa.S0, 2)
 		b.Sw(isa.T0, isa.GP, 0) // t0 is store *data*
@@ -344,7 +344,7 @@ func TestScaledStoreDataNotScaled(t *testing.T) {
 }
 
 func TestPlacementCoClustersDependents(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Placement: true})
+	cfg := onlyPass("place")
 	segs, _, _, _ := runFill(t, cfg, nil, 100, func(b *asm.Builder) {
 		// Two independent dependence chains of length 4.
 		b.Addi(isa.T0, isa.S0, 1)
@@ -375,7 +375,7 @@ func TestPlacementCoClustersDependents(t *testing.T) {
 }
 
 func TestPlacementIsPermutation(t *testing.T) {
-	cfg := onlyOpt(Optimizations{Placement: true})
+	cfg := onlyPass("place")
 	segs, _, _, _ := runFill(t, cfg, nil, 1000, straightLine(40))
 	for _, s := range segs {
 		seen := map[int]bool{}
@@ -402,7 +402,7 @@ func TestPlacementIdentityWhenDisabled(t *testing.T) {
 
 func TestCombinedOptimizationsProduceValidSegments(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Opt = AllOptimizations()
+	cfg.Passes = DefaultPassSpec()
 	segs, _, _, _ := runFill(t, cfg, bias4(), 20000, mixedProgram)
 	if len(segs) == 0 {
 		t.Fatal("no segments")

@@ -63,7 +63,7 @@ type PassInfo struct {
 	// pick a value that slots them where they are legal.
 	Order int
 	// Default marks the pass as part of the paper's combined
-	// configuration (AllOptimizations / the "all" spec). The dead-write
+	// configuration (DefaultPassSpec / the "all" spec). The dead-write
 	// extension is registered but not Default.
 	Default bool
 
@@ -75,12 +75,6 @@ type PassInfo struct {
 	// it (instruction placement: later rewrites would invalidate the
 	// slot assignment's dependence analysis).
 	Last bool
-
-	// Enabled reports whether the legacy Optimizations struct selects
-	// this pass; Enable sets the corresponding field. Both may be nil
-	// for custom passes that exist only in explicit specs.
-	Enabled func(Optimizations) bool
-	Enable  func(*Optimizations)
 
 	// New constructs the pass object for one fill unit. Called once per
 	// fill unit, at core.New.
@@ -138,7 +132,7 @@ func PassNames() []string {
 }
 
 // DefaultPassSpec returns the paper's combined pipeline: every Default
-// pass in canonical order. Equal to AllOptimizations().PassSpec().
+// pass in canonical order.
 func DefaultPassSpec() []string {
 	var out []string
 	for _, pi := range RegisteredPasses() {
@@ -280,31 +274,4 @@ func (p *Pipeline) Stats() []PassStats {
 	out := make([]PassStats, len(p.stats))
 	copy(out, p.stats)
 	return out
-}
-
-// PassSpec expands the boolean optimization selection into the paper's
-// canonical pass order: every registered Default-eligible pass whose
-// field is set, in registry order. The result is what an empty
-// Config.Passes spec runs.
-func (o Optimizations) PassSpec() []string {
-	var out []string
-	for _, pi := range RegisteredPasses() {
-		if pi.Enabled != nil && pi.Enabled(o) {
-			out = append(out, pi.Name)
-		}
-	}
-	return out
-}
-
-// OptimizationsForSpec is PassSpec's inverse: the boolean selection
-// corresponding to a spec's pass set (order is not representable).
-// Custom passes without an Enable hook contribute nothing.
-func OptimizationsForSpec(spec []string) Optimizations {
-	var o Optimizations
-	for _, name := range spec {
-		if pi, ok := registry[name]; ok && pi.Enable != nil {
-			pi.Enable(&o)
-		}
-	}
-	return o
 }

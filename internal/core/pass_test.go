@@ -83,28 +83,12 @@ func TestRegisteredPassesCanonicalOrder(t *testing.T) {
 	}
 }
 
-func TestDefaultPassSpecMatchesAllOptimizations(t *testing.T) {
-	spec := DefaultPassSpec()
-	fromOpt := AllOptimizations().PassSpec()
-	if strings.Join(spec, ",") != strings.Join(fromOpt, ",") {
-		t.Errorf("DefaultPassSpec %v != AllOptimizations().PassSpec() %v", spec, fromOpt)
-	}
-	if strings.Join(spec, ",") != "reassoc,moves,scadd,place" {
-		t.Errorf("default spec = %v, want the paper order", spec)
-	}
-}
-
-func TestOptimizationsSpecRoundTrip(t *testing.T) {
-	for _, o := range allOptCombos() {
-		got := OptimizationsForSpec(o.PassSpec())
-		if got != o {
-			t.Errorf("round trip %+v -> %v -> %+v", o, o.PassSpec(), got)
-		}
-	}
-	withDWE := AllOptimizations()
-	withDWE.DeadWriteElim = true
-	if got := OptimizationsForSpec(withDWE.PassSpec()); got != withDWE {
-		t.Errorf("round trip with deadwrite: %+v", got)
+// TestDefaultPassSpecIsPaperCombined pins the default spec to the
+// paper's combined configuration: the four §4 passes in canonical order,
+// with the dead-write extension excluded.
+func TestDefaultPassSpecIsPaperCombined(t *testing.T) {
+	if got := strings.Join(DefaultPassSpec(), ","); got != "reassoc,moves,scadd,place" {
+		t.Errorf("default spec = %q, want reassoc,moves,scadd,place", got)
 	}
 }
 
@@ -155,26 +139,25 @@ func TestNewRejectsIllegalSpec(t *testing.T) {
 	}
 }
 
-func TestExplicitSpecOverridesOpt(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Opt = AllOptimizations()
-	cfg.Passes = []string{"moves"}
-	f := MustNew(cfg, nil)
-	if got := strings.Join(f.PassSpec(), ","); got != "moves" {
-		t.Errorf("pipeline spec = %q, want moves only", got)
-	}
-	// The boolean view follows the spec actually run.
-	if o := f.Config().Opt; !o.Moves || o.Reassoc || o.ScaledAdds || o.Placement || o.DeadWriteElim {
-		t.Errorf("effective Opt = %+v, want moves only", o)
+func TestEmptySpecRunsNoPasses(t *testing.T) {
+	f := MustNew(DefaultConfig(), nil)
+	if got := f.PassSpec(); len(got) != 0 {
+		t.Errorf("empty spec runs %v, want no passes", got)
 	}
 }
 
-func TestEmptySpecDerivesFromOpt(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Opt = Optimizations{Moves: true, Placement: true, DeadWriteElim: true}
-	f := MustNew(cfg, nil)
-	if got := strings.Join(f.PassSpec(), ","); got != "moves,deadwrite,place" {
-		t.Errorf("derived spec = %q, want moves,deadwrite,place", got)
+func TestExplicitSpecRunsAsWritten(t *testing.T) {
+	for _, spec := range [][]string{
+		{"moves"},
+		{"moves", "deadwrite", "place"},
+		{"scadd", "reassoc", "moves", "place"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Passes = spec
+		f := MustNew(cfg, nil)
+		if got, want := strings.Join(f.PassSpec(), ","), strings.Join(spec, ","); got != want {
+			t.Errorf("pipeline spec = %q, want %q", got, want)
+		}
 	}
 }
 
@@ -253,10 +236,5 @@ func TestCustomPassRegistration(t *testing.T) {
 	}
 	if st[1].Segments == 0 {
 		t.Error("custom pass saw no segments")
-	}
-	// The custom pass has no Enable hook: the effective boolean view
-	// reflects only the built-ins.
-	if o := f.Config().Opt; !o.Reassoc || !o.Placement || o.Moves {
-		t.Errorf("effective Opt = %+v", o)
 	}
 }

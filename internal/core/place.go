@@ -38,10 +38,8 @@ func init() {
 		Default: true,
 		// Placement assigns slots from the final dependence structure;
 		// any later rewrite would invalidate the assignment.
-		Last:    true,
-		Enabled: func(o Optimizations) bool { return o.Placement },
-		Enable:  func(o *Optimizations) { o.Placement = true },
-		New:     func(f *FillUnit) OptPass { return &placePass{f} },
+		Last: true,
+		New:  func(f *FillUnit) OptPass { return &placePass{f} },
 	})
 }
 

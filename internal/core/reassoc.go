@@ -44,10 +44,8 @@ func init() {
 		// A marked move is no longer a pairable ADDI and its consumers
 		// have been rewired past it, so reassociation must see the
 		// segment before move marking does.
-		Before:  []string{"moves"},
-		Enabled: func(o Optimizations) bool { return o.Reassoc },
-		Enable:  func(o *Optimizations) { o.Reassoc = true },
-		New:     func(f *FillUnit) OptPass { return &reassocPass{f} },
+		Before: []string{"moves"},
+		New:    func(f *FillUnit) OptPass { return &reassocPass{f} },
 	})
 }
 

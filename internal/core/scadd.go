@@ -42,8 +42,6 @@ func init() {
 		Desc:    "collapse short shift + add/load/store pairs into scaled operations (paper §4.4)",
 		Order:   30,
 		Default: true,
-		Enabled: func(o Optimizations) bool { return o.ScaledAdds },
-		Enable:  func(o *Optimizations) { o.ScaledAdds = true },
 		New:     func(f *FillUnit) OptPass { return &scaddPass{f} },
 	})
 }

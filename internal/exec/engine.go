@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"tcsim/internal/cache"
 	"tcsim/internal/isa"
 )
@@ -31,6 +33,28 @@ func DefaultConfig() Config {
 		DivLatency:          12,
 		AgenLatency:         1,
 	}
+}
+
+// maxClusters and maxFUs bound the backend geometry. The engine
+// allocates per-FU state up front, so an unbounded product would ask
+// for an arbitrary amount of memory (or overflow the slice length).
+// The bounds sit far above any machine the paper or the experiments
+// model (4 x 4 clusters; ablations up to 8 x 2 and 1 x 16).
+const (
+	maxClusters = 64
+	maxFUs      = 256
+)
+
+// ValidateGeometry checks a clusters x fusPerCluster backend against
+// maxClusters and maxFUs. Non-positive values select the default and
+// are accepted.
+func ValidateGeometry(clusters, fusPerCluster int) error {
+	c := Config{Clusters: clusters, FUsPerCluster: fusPerCluster}.normalize()
+	if c.Clusters > maxClusters || c.FUsPerCluster > maxFUs || c.Clusters*c.FUsPerCluster > maxFUs {
+		return fmt.Errorf("exec: %d clusters x %d FUs per cluster exceeds the backend bound (at most %d clusters and %d FUs in total)",
+			clusters, fusPerCluster, maxClusters, maxFUs)
+	}
+	return nil
 }
 
 func (c Config) normalize() Config {

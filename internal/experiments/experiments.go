@@ -624,7 +624,7 @@ func (r *Runner) CacheKeys() []string {
 func FillOnly(prog *asm.Program, insts uint64) error {
 	m := emu.New(prog)
 	cfg := core.DefaultConfig()
-	cfg.Opt = core.AllOptimizations()
+	cfg.Passes = core.DefaultPassSpec()
 	f, err := core.New(cfg, bpred.NewBiasTable(8<<10, 64))
 	if err != nil {
 		return err

@@ -205,7 +205,7 @@ func TestOptimizationsPreserveBehaviorUnderPressure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Exec.WindowSize = 32
 	cfg.Checkpoints = 6
-	cfg.Fill.Opt = core.AllOptimizations()
+	cfg.Fill.Passes = core.DefaultPassSpec()
 	p := buildProgram(t, func(b *asm.Builder) {
 		b.DataLabel("buf")
 		b.Space(256)
@@ -235,7 +235,7 @@ func TestOptimizationsPreserveBehaviorUnderPressure(t *testing.T) {
 func TestStatsShape(t *testing.T) {
 	p := buildProgram(t, simpleLoop(500))
 	cfg := DefaultConfig()
-	cfg.Fill.Opt = core.AllOptimizations()
+	cfg.Fill.Passes = core.DefaultPassSpec()
 	st := runSim(t, cfg, p)
 	if st.OptimizedFraction() < 0 || st.OptimizedFraction() > 1 {
 		t.Errorf("optimized fraction = %f", st.OptimizedFraction())

@@ -81,6 +81,9 @@ func New(cfg Config, prog *asm.Program) (*Simulator, error) {
 	if err := cfg.Sampling.Validate(); err != nil {
 		return nil, err
 	}
+	if err := exec.ValidateGeometry(cfg.Exec.Clusters, cfg.Exec.FUsPerCluster); err != nil {
+		return nil, err
+	}
 	// The pipeline always runs the fill unit in fetch-aligned mode:
 	// segments start at addresses the fetch engine actually missed on,
 	// otherwise segment starts phase-lock to retirement counts and the

@@ -316,9 +316,9 @@ func TestNonHaltingProgramErrors(t *testing.T) {
 }
 
 // optimization configs used across effectiveness tests.
-func cfgWith(o core.Optimizations) Config {
+func cfgWith(passes ...string) Config {
 	cfg := DefaultConfig()
-	cfg.Fill.Opt = o
+	cfg.Fill.Passes = passes
 	return cfg
 }
 
@@ -336,7 +336,7 @@ func TestMovesImproveMoveHeavyLoop(t *testing.T) {
 		b.Halt()
 	})
 	base := runSim(t, DefaultConfig(), p)
-	opt := runSim(t, cfgWith(core.Optimizations{Moves: true}), p)
+	opt := runSim(t, cfgWith("moves"), p)
 	if opt.RetiredMoves == 0 {
 		t.Fatal("no moves marked at retirement")
 	}
@@ -364,7 +364,7 @@ func TestScaledAddsImproveArrayLoop(t *testing.T) {
 		b.Halt()
 	})
 	base := runSim(t, DefaultConfig(), p)
-	opt := runSim(t, cfgWith(core.Optimizations{ScaledAdds: true}), p)
+	opt := runSim(t, cfgWith("scadd"), p)
 	if opt.RetiredScaled == 0 {
 		t.Fatal("no scaled ops at retirement")
 	}
@@ -379,7 +379,7 @@ func TestCombinedOptimizationsNeverBreakPrograms(t *testing.T) {
 		p := buildProgram(t, randomPipelineProgram(rng))
 		base := runSim(t, DefaultConfig(), p)
 		cfg := DefaultConfig()
-		cfg.Fill.Opt = core.AllOptimizations()
+		cfg.Fill.Passes = core.DefaultPassSpec()
 		opt := runSim(t, cfg, p)
 		if base.Retired != opt.Retired {
 			t.Fatalf("retirement counts differ: %d vs %d", base.Retired, opt.Retired)

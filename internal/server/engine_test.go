@@ -98,25 +98,55 @@ func TestCanonicalKeys(t *testing.T) {
 	}
 }
 
-// TestResolveSpecValidation checks the structured-error surface.
+// TestResolveSpecValidation checks the structured-error surface. Every
+// case past the cap case stays within the per-job cap, so each is
+// rejected by its own rule, not by the insts limit.
 func TestResolveSpecValidation(t *testing.T) {
 	lim := Limits{DefaultTimeout: time.Minute, MaxInsts: 1000}
+	if _, err := resolveSpec(&client.JobRequest{Workload: "m88ksim", Insts: 1000}, lim); err != nil {
+		t.Fatalf("request at the cap rejected: %v", err)
+	}
 	bad := []client.JobRequest{
-		{},                               // no workload
-		{Workload: "nosuch"},             // unknown workload
-		{Workload: "m88ksim", Insts: 2000},                                  // over the per-job cap
-		{Workload: "m88ksim", Preset: "turbo"},                              // unknown preset
-		{Workload: "m88ksim", Preset: client.PresetAll, Passes: []string{"moves"}}, // both
-		{Workload: "m88ksim", Passes: []string{"bogus"}},                    // unknown pass
-		{Workload: "m88ksim", Passes: []string{"place", "moves"}},           // illegal order
-		{Workload: "m88ksim", TimeoutMS: -1},
-		{Workload: "m88ksim", FillLatency: -2},
+		{},                                 // no workload
+		{Workload: "nosuch"},               // unknown workload
+		{Workload: "m88ksim", Insts: 2000}, // over the per-job cap
+		{Workload: "m88ksim", Insts: 1000, Preset: "turbo"},                                     // unknown preset
+		{Workload: "m88ksim", Insts: 1000, Preset: client.PresetAll, Passes: []string{"moves"}}, // both
+		{Workload: "m88ksim", Insts: 1000, Passes: []string{"bogus"}},                           // unknown pass
+		{Workload: "m88ksim", Insts: 1000, Passes: []string{"place", "moves"}},                  // illegal order
+		{Workload: "m88ksim", Insts: 1000, TimeoutMS: -1},
+		{Workload: "m88ksim", Insts: 1000, FillLatency: -2},
+		{Workload: "m88ksim", Insts: 1000, Clusters: 1 << 31, FUsPerCluster: 1 << 31}, // unbounded geometry
 	}
 	for i, req := range bad {
 		if _, err := resolveSpec(&req, lim); err == nil {
 			t.Errorf("case %d (%+v): no error", i, req)
 		} else if _, ok := err.(*badRequest); !ok {
 			t.Errorf("case %d: error %v is not a badRequest", i, err)
+		}
+	}
+}
+
+// TestResolveSpecClampsTimeout: any timeout_ms above the cap resolves
+// to MaxTimeout, including values whose conversion to time.Duration
+// would overflow to a negative or zero duration.
+func TestResolveSpecClampsTimeout(t *testing.T) {
+	lim := Limits{DefaultTimeout: time.Minute, MaxTimeout: 5 * time.Minute}
+	for _, c := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{1000, time.Second},
+		{9223372036855, lim.MaxTimeout},
+		{1 << 62, lim.MaxTimeout},
+	} {
+		req := client.JobRequest{Workload: "m88ksim", TimeoutMS: c.ms}
+		s, err := resolveSpec(&req, lim)
+		if err != nil {
+			t.Fatalf("timeout_ms %d: %v", c.ms, err)
+		}
+		if s.timeout <= 0 || s.timeout > lim.MaxTimeout || s.timeout != c.want {
+			t.Errorf("timeout_ms %d resolved to %v, want %v (within (0, %v])", c.ms, s.timeout, c.want, lim.MaxTimeout)
 		}
 	}
 }

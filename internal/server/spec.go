@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"tcsim"
@@ -135,6 +136,9 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 	if s.Clusters < 0 || s.FUs < 0 {
 		return s, badRequestf("clusters and fus_per_cluster must be positive")
 	}
+	if err := tcsim.ValidateGeometry(s.Clusters, s.FUs); err != nil {
+		return s, &badRequest{msg: err.Error()}
+	}
 	s.MaxCyc = req.MaxCycles
 	s.Timeline = req.Timeline
 
@@ -172,9 +176,16 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 	if req.TimeoutMS < 0 {
 		return s, badRequestf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
 	}
-	s.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	if s.timeout == 0 {
-		s.timeout = lim.DefaultTimeout
+	s.timeout = lim.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		// Compare in milliseconds before converting: the product
+		// overflows time.Duration for huge values, which would slip a
+		// negative or zero timeout past the cap below.
+		const maxMS = math.MaxInt64 / int64(time.Millisecond)
+		s.timeout = time.Duration(math.MaxInt64)
+		if req.TimeoutMS <= maxMS {
+			s.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
 	}
 	if lim.MaxTimeout > 0 && s.timeout > lim.MaxTimeout {
 		s.timeout = lim.MaxTimeout

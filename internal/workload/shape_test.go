@@ -18,7 +18,7 @@ func TestTable2Shape(t *testing.T) {
 		w, _ := ByName(name)
 		cfg := pipeline.DefaultConfig()
 		cfg.MaxInsts = 40_000
-		cfg.Fill.Opt = core.AllOptimizations()
+		cfg.Fill.Passes = core.DefaultPassSpec()
 		sim, err := pipeline.New(cfg, w.Build())
 		if err != nil {
 			t.Fatal(err)

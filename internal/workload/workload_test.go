@@ -106,7 +106,7 @@ func TestWorkloadsRunOptimized(t *testing.T) {
 			t.Parallel()
 			cfg := pipeline.DefaultConfig()
 			cfg.MaxInsts = 20_000
-			cfg.Fill.Opt = core.AllOptimizations()
+			cfg.Fill.Passes = core.DefaultPassSpec()
 			sim, err := pipeline.New(cfg, w.Build())
 			if err != nil {
 				t.Fatal(err)

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"tcsim/internal/asm"
 	"tcsim/internal/core"
 	"tcsim/internal/exec"
-	"tcsim/internal/experiments"
 	"tcsim/internal/obs"
 	"tcsim/internal/pipeline"
 	"tcsim/internal/replace"
@@ -53,20 +53,6 @@ func Passes() []PassDesc {
 // paper's combined machine.
 func DefaultPassSpec() []string { return core.DefaultPassSpec() }
 
-// ValidatePassSpec checks a pass spec: every name registered, no
-// duplicates, registered ordering constraints hold. The same validation
-// runs inside every simulator construction; use this to fail fast (e.g.
-// on CLI flag parsing).
-func ValidatePassSpec(spec []string) error { return core.ValidateSpec(spec) }
-
-// ValidateGeometry checks a Clusters x FUsPerCluster backend against the
-// simulator's bounds (non-positive values select the paper's 4 x 4).
-// The same check runs inside every simulator construction; use this to
-// fail fast on CLI flags or wire requests.
-func ValidateGeometry(clusters, fusPerCluster int) error {
-	return exec.ValidateGeometry(clusters, fusPerCluster)
-}
-
 // PolicyDesc describes one registered cache replacement policy
 // (selectable via Config.TCPolicy / Config.ICPolicy).
 type PolicyDesc struct {
@@ -91,11 +77,6 @@ func Policies() []PolicyDesc {
 
 // DefaultPolicy returns the name an empty policy field resolves to.
 func DefaultPolicy() string { return replace.Default() }
-
-// ValidatePolicy checks a policy name against the registry ("" is valid:
-// the default). The same check runs inside simulator construction; use
-// this to fail fast on CLI flags or wire requests.
-func ValidatePolicy(name string) error { return replace.Validate(name) }
 
 // Config describes one simulated machine. Zero values select the
 // paper's baseline; construct with DefaultConfig and override fields.
@@ -160,8 +141,43 @@ type Config struct {
 	Timeline bool
 	// TimelineEvents bounds the timeline ring buffer; when full the
 	// oldest events are dropped (Result.Timeline.Dropped counts them).
-	// 0 selects the default capacity (65536 events).
+	// 0 selects the default capacity (65536 events); at most 1<<22
+	// (4194304) events, since the whole ring is allocated up front.
 	TimelineEvents int
+}
+
+// maxTimelineEvents caps Config.TimelineEvents: at 40 bytes an event
+// the ring is 160 MiB at the cap.
+const maxTimelineEvents = 1 << 22
+
+// Validate checks a configuration without running it: the pass spec
+// (names registered, no duplicates, legal order), the replacement
+// policy names, the backend geometry bound, the sampling plan, and that
+// no count field is negative (zero selects the default) or, for
+// TimelineEvents, above its cap. RunContext and RunWorkloadContextIn
+// call it first; call it yourself to fail fast on CLI flags or wire
+// requests.
+func (c Config) Validate() error {
+	switch {
+	case c.FillLatency < 0:
+		return fmt.Errorf("tcsim: fill latency %d is negative (0 selects the default)", c.FillLatency)
+	case c.Clusters < 0 || c.FUsPerCluster < 0:
+		return fmt.Errorf("tcsim: backend geometry %d x %d is negative (0 selects the default 4 x 4)", c.Clusters, c.FUsPerCluster)
+	case c.TimelineEvents < 0 || c.TimelineEvents > maxTimelineEvents:
+		return fmt.Errorf("tcsim: timeline capacity %d events is outside [0, %d]", c.TimelineEvents, maxTimelineEvents)
+	}
+	if err := core.ValidateSpec(c.Passes); err != nil {
+		return err
+	}
+	if err := exec.ValidateGeometry(c.Clusters, c.FUsPerCluster); err != nil {
+		return err
+	}
+	for _, p := range []string{c.TCPolicy, c.ICPolicy} {
+		if err := replace.Validate(p); err != nil {
+			return err
+		}
+	}
+	return c.Sampling.Validate()
 }
 
 // DefaultConfig returns the paper's baseline machine with no fill-unit
@@ -427,6 +443,9 @@ func resultFrom(st pipeline.Stats, out []byte) Result {
 // error matching both ErrCanceled and the context's own error when it
 // is cancelled or its deadline passes.
 func RunContext(ctx context.Context, cfg Config, prog *Program) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	return runContext(ctx, cfg, tracestore.RunSource{Prog: prog.p})
 }
 
@@ -459,7 +478,12 @@ func runContext(ctx context.Context, cfg Config, src tracestore.RunSource) (Resu
 	if err != nil {
 		return Result{}, err
 	}
-	st, err := sim.Run()
+	// Label the run so profiles split its time by where the
+	// correct-path stream came from: capture, replay or live emulation.
+	var st pipeline.Stats
+	pprof.Do(ctx, pprof.Labels("phase", src.Phase()), func(context.Context) {
+		st, err = sim.Run()
+	})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil && err == pipeline.ErrCanceled {
 			err = fmt.Errorf("%w: %w", pipeline.ErrCanceled, cerr)
@@ -500,6 +524,9 @@ func RunWorkloadContextIn(ctx context.Context, cfg Config, name string, st *Trac
 	if st == nil {
 		return Result{}, errors.New("tcsim: RunWorkloadContextIn needs a trace store (see NewTraceStore)")
 	}
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	if cfg.MaxInsts == 0 {
 		cfg.MaxInsts = w.DefaultInsts
 	}
@@ -522,128 +549,3 @@ func WorkloadDefaultInsts(name string) (uint64, bool) {
 	}
 	return w.DefaultInsts, true
 }
-
-// Suite reproduces the paper's tables and figures while sharing one
-// memoized simulation runner, so sweeps common to several figures (the
-// baseline most of all) simulate exactly once per suite, and each
-// workload's stream is captured once into the suite's own trace store.
-// Figures may be reproduced concurrently; duplicate work is collapsed by
-// singleflight.
-type Suite struct {
-	r *experiments.Runner
-}
-
-// NewSuite returns a figure-reproduction suite. insts bounds each
-// simulation (0 = the workloads' defaults).
-func NewSuite(insts uint64) *Suite {
-	return &Suite{r: experiments.NewRunner(insts)}
-}
-
-// Simulations reports how many simulations the suite has actually
-// executed so far (memoized reuse excluded).
-func (s *Suite) Simulations() uint64 { return s.r.SimCount() }
-
-// Reproduce regenerates one of the paper's tables or figures and returns
-// it formatted. Valid ids: "table1", "fig3", "fig4", "fig5", "fig6",
-// "fig7", "fig8", "table2", "ablations". It reuses every simulation the
-// suite has already run, so callers reproducing several figures should
-// share one Suite.
-func (s *Suite) Reproduce(id string) (string, error) {
-	r := s.r
-	insts := r.Insts
-	switch id {
-	case "table1":
-		return experiments.FormatTable1(insts), nil
-	case "fig3":
-		f, err := r.Figure3()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
-	case "fig4":
-		f, err := r.Figure4()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
-	case "fig5":
-		f, err := r.Figure5()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
-	case "fig6":
-		f, err := r.Figure6()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
-	case "fig7":
-		f, err := r.Figure7()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
-	case "fig8":
-		f, err := r.Figure8()
-		if err != nil {
-			return "", err
-		}
-		return f.Format(), nil
-	case "table2":
-		t, err := r.Table2()
-		if err != nil {
-			return "", err
-		}
-		return t.Format(), nil
-	case "ablations":
-		a, err := r.Ablations()
-		if err != nil {
-			return "", err
-		}
-		return a.Format(r.WorkloadNames()), nil
-	case PoliciesExperimentID:
-		p, err := r.PolicyLab()
-		if err != nil {
-			return "", err
-		}
-		return p.Format(r.WorkloadNames()), nil
-	case SamplingExperimentID:
-		return s.Sampling(0, 0, SamplingConfig{})
-	}
-	return "", fmt.Errorf("tcsim: unknown experiment %q", id)
-}
-
-// Sampling reproduces the sampled-timing validation figure: sampled vs
-// exact IPC per workload at valInsts (0 = 2M) with error and
-// CI-coverage columns, then a headline sampled sweep at headInsts
-// (0 = 50M) that detailed timing cannot reach. A disabled plan selects
-// the per-budget default. Validation simulations are memoized like
-// every other figure; headline runs are wall-timed and never cached.
-func (s *Suite) Sampling(valInsts, headInsts uint64, plan SamplingConfig) (string, error) {
-	f, err := s.r.Sampling(valInsts, headInsts, plan)
-	if err != nil {
-		return "", err
-	}
-	return f.Format(), nil
-}
-
-// ExperimentIDs lists every table/figure id reproduced by the "all"
-// sweep. The replacement-policy lab (PoliciesExperimentID) is reproduced
-// on explicit request only — it is this simulator's extension, not one
-// of the paper's figures, so "all" output stays stable.
-func ExperimentIDs() []string {
-	return []string{"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "ablations"}
-}
-
-// PoliciesExperimentID reproduces the registry-generated replacement
-// policy x workload figure (IPC and trace-cache hit rate under every
-// registered policy, the Belady oracle as the upper-bound column).
-const PoliciesExperimentID = "policies"
-
-// SamplingExperimentID reproduces the sampled-timing validation figure
-// (sampled vs exact IPC with CI coverage, plus a long-budget headline
-// sweep). Like the policy lab it is this simulator's extension, not one
-// of the paper's figures, and runs on explicit request only so the
-// "all" sweep's output stays stable.
-const SamplingExperimentID = "sampling"

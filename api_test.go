@@ -114,16 +114,22 @@ func TestConfigKnobs(t *testing.T) {
 }
 
 // TestGeometryBound: every backend geometry the experiments use is
-// accepted, and an unbounded one is an error from construction — never
-// a panic or a huge allocation.
+// accepted, and an unbounded or negative one is an error from
+// validation and from construction — never a panic, a huge allocation
+// or a silent fall back to the default machine.
 func TestGeometryBound(t *testing.T) {
+	geom := func(c, f int) tcsim.Config {
+		cfg := tcsim.DefaultConfig()
+		cfg.Clusters, cfg.FUsPerCluster = c, f
+		return cfg
+	}
 	for _, g := range [][2]int{{1, 1}, {2, 1}, {4, 4}, {8, 2}, {1, 16}, {0, 0}} {
-		if err := tcsim.ValidateGeometry(g[0], g[1]); err != nil {
+		if err := geom(g[0], g[1]).Validate(); err != nil {
 			t.Errorf("geometry %dx%d rejected: %v", g[0], g[1], err)
 		}
 	}
-	for _, g := range [][2]int{{65, 1}, {1, 257}, {32, 16}, {1 << 31, 1 << 31}} {
-		if err := tcsim.ValidateGeometry(g[0], g[1]); err == nil {
+	for _, g := range [][2]int{{65, 1}, {1, 257}, {32, 16}, {1 << 31, 1 << 31}, {-3, -2}, {-1, 4}, {4, -1}} {
+		if err := geom(g[0], g[1]).Validate(); err == nil {
 			t.Errorf("geometry %dx%d accepted", g[0], g[1])
 		}
 	}
@@ -131,31 +137,61 @@ func TestGeometryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tcsim.DefaultConfig()
-	cfg.Clusters, cfg.FUsPerCluster = 1<<31, 1<<31
-	cfg.MaxInsts = 1000
-	if _, err := tcsim.RunContext(t.Context(), cfg, p); err == nil {
-		t.Error("RunContext accepted a 2^31 x 2^31 backend")
-	}
-	if _, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "m88ksim", tcsim.NewTraceStore(0)); err == nil {
-		t.Error("RunWorkloadContextIn accepted a 2^31 x 2^31 backend")
+	for _, g := range [][2]int{{1 << 31, 1 << 31}, {-3, -2}} {
+		cfg := geom(g[0], g[1])
+		cfg.MaxInsts = 1000
+		if _, err := tcsim.RunContext(t.Context(), cfg, p); err == nil {
+			t.Errorf("RunContext accepted a %d x %d backend", g[0], g[1])
+		}
+		if _, err := tcsim.RunWorkloadContextIn(t.Context(), cfg, "m88ksim", tcsim.NewTraceStore(0)); err == nil {
+			t.Errorf("RunWorkloadContextIn accepted a %d x %d backend", g[0], g[1])
+		}
 	}
 }
 
-func TestReproduceFigureIDs(t *testing.T) {
-	if len(tcsim.ExperimentIDs()) != 9 {
-		t.Fatalf("ids = %v", tcsim.ExperimentIDs())
+// TestConfigValidate: Validate is the one check for every Config field
+// with a legal range. Zero counts select defaults; negative counts, an
+// oversized timeline ring, unknown passes or policies, illegal pass
+// orders and malformed sampling plans are rejected — the timeline case
+// before the recorder would try to allocate the ring.
+func TestConfigValidate(t *testing.T) {
+	ok := tcsim.DefaultConfig()
+	ok.FillLatency, ok.TimelineEvents = 0, 0
+	ok.Passes = tcsim.DefaultPassSpec()
+	ok.TCPolicy = "belady"
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
-	s := tcsim.NewSuite(0)
-	out, err := s.Reproduce("table1")
+	ok.TimelineEvents = 1 << 22
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("timeline ring at the cap rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*tcsim.Config){
+		"negative fill latency":    func(c *tcsim.Config) { c.FillLatency = -7 },
+		"negative timeline events": func(c *tcsim.Config) { c.TimelineEvents = -1 },
+		"timeline events over cap": func(c *tcsim.Config) { c.TimelineEvents = 1<<22 + 1 },
+		"unknown pass":             func(c *tcsim.Config) { c.Passes = []string{"bogus"} },
+		"illegal pass order":       func(c *tcsim.Config) { c.Passes = []string{"place", "moves"} },
+		"unknown tc policy":        func(c *tcsim.Config) { c.TCPolicy = "nosuch" },
+		"unknown ic policy":        func(c *tcsim.Config) { c.ICPolicy = "nosuch" },
+		"bad sampling plan": func(c *tcsim.Config) {
+			c.Sampling = tcsim.SamplingConfig{Period: 10_000, WindowLen: 8_000, Warmup: 4_000}
+		},
+	} {
+		cfg := tcsim.DefaultConfig()
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	p, err := tcsim.Assemble(apiTestProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "compress") {
-		t.Error("table1 output incomplete")
-	}
-	if _, err := s.Reproduce("fig99"); err == nil {
-		t.Error("unknown figure should fail")
+	cfg := tcsim.DefaultConfig()
+	cfg.Timeline, cfg.TimelineEvents = true, 1<<50
+	if _, err := tcsim.RunContext(t.Context(), cfg, p); err == nil {
+		t.Error("RunContext accepted a 2^50-event timeline ring")
 	}
 }
 

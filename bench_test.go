@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"tcsim"
+	"tcsim/internal/asm"
+	"tcsim/internal/bpred"
+	"tcsim/internal/core"
+	"tcsim/internal/emu"
 	"tcsim/internal/experiments"
 	"tcsim/internal/pipeline"
 	"tcsim/internal/replace"
@@ -302,9 +306,42 @@ func BenchmarkFillUnitOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := experiments.FillOnly(prog, 50_000); err != nil {
+		if err := fillOnly(prog, 50_000); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.N)*50_000/b.Elapsed().Seconds(), "fill-inst/s")
+}
+
+// TestFillOnly keeps the fill-only driver behind BenchmarkFillUnitOnly
+// working: it must consume a workload's retire stream without error.
+func TestFillOnly(t *testing.T) {
+	w, _ := workload.ByName("compress")
+	if err := fillOnly(w.Build(), 5_000); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fillOnly drives the fill unit (running the paper's combined pass
+// spec) directly from the functional emulator's retire stream,
+// bypassing the timing pipeline — a pure benchmark of segment
+// construction and the four optimization passes.
+func fillOnly(prog *asm.Program, insts uint64) error {
+	m := emu.New(prog)
+	cfg := core.DefaultConfig()
+	cfg.Passes = core.DefaultPassSpec()
+	f, err := core.New(cfg, bpred.NewBiasTable(8<<10, 64))
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < insts; i++ {
+		rec, err := m.Step()
+		if err != nil {
+			return err
+		}
+		f.Collect(rec, i)
+		f.Drain(i)
+	}
+	f.Flush(insts)
+	return nil
 }

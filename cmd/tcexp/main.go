@@ -6,7 +6,6 @@
 //	tcexp -exp fig8 -insts 200000
 //	tcexp -exp all
 //	tcexp -exp all -cpuprofile cpu.pprof -memprofile mem.pprof
-//	tcexp -list-passes
 //
 // All figure reproductions in one invocation share a memoized runner, so
 // sweeps common to several figures (the baseline above all) simulate
@@ -19,10 +18,12 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"tcsim"
+	"tcsim/internal/experiments"
 	"tcsim/internal/prof"
 )
 
@@ -37,12 +38,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "all", "experiment id: "+strings.Join(tcsim.ExperimentIDs(), ", ")+", '"+tcsim.PoliciesExperimentID+"', '"+tcsim.SamplingExperimentID+"', or 'all'")
+		exp      = fs.String("exp", "all", "experiment id: "+strings.Join(experiments.PaperIDs(), ", ")+", '"+experiments.PoliciesID+"', '"+experiments.SamplingID+"', or 'all'")
 		insts    = fs.Uint64("insts", 200_000, "retired-instruction budget per simulation (0 = workload defaults); for -exp sampling this sets the validation budget (default 2M)")
 		budget   = fs.Uint64("budget", 0, "headline instruction budget for the -exp sampling sweep (0 = 50M); sampled timing makes it near-free")
 		sample   = fs.String("sample", "", "sampling plan for -exp sampling: 'period,window,warmup' (default: the per-budget auto plan)")
-		listPass = fs.Bool("list-passes", false, "list registered optimization passes and exit")
-		listPol  = fs.Bool("list-policies", false, "list registered cache replacement policies and exit")
 		progress = fs.Bool("progress", false, "emit structured per-figure/per-workload progress lines to stderr")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -57,32 +56,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *listPass {
-		for _, p := range tcsim.Passes() {
-			def := " "
-			if p.Default {
-				def = "*"
-			}
-			fmt.Fprintf(stdout, "%s %-10s %s\n", def, p.Name, p.Desc)
-		}
-		fmt.Fprintln(stdout, "(* = part of the paper's combined configuration; default order:",
-			strings.Join(tcsim.DefaultPassSpec(), ","), ")")
-		return 0
-	}
-
-	if *listPol {
-		listPolicies(stdout)
-		return 0
-	}
-
-	if !validExperiment(*exp) {
+	if *exp != "all" && !slices.Contains(experiments.IDs(), *exp) {
 		return usagef("unknown experiment %q (valid: %s, all)",
-			*exp, strings.Join(tcsim.ExperimentIDs(), ", "))
+			*exp, strings.Join(experiments.IDs(), ", "))
 	}
 
 	var plan tcsim.SamplingConfig
-	if (*budget != 0 || *sample != "") && *exp != tcsim.SamplingExperimentID {
-		return usagef("-budget/-sample only apply to -exp %s", tcsim.SamplingExperimentID)
+	if (*budget != 0 || *sample != "") && *exp != experiments.SamplingID {
+		return usagef("-budget/-sample only apply to -exp %s", experiments.SamplingID)
 	}
 	if *sample != "" && *sample != "auto" {
 		var perr error
@@ -117,12 +98,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger := slog.New(slog.NewTextHandler(logDst, nil))
 
-	switch *exp {
-	case tcsim.SamplingExperimentID:
-		err = runSampling(stdout, logger, valInsts, *budget, plan)
-	default:
-		err = runFigures(stdout, logger, *exp, *insts)
+	r := experiments.NewRunner(*insts)
+	ids := []string{*exp}
+	if *exp == "all" {
+		ids = experiments.PaperIDs()
 	}
+	reproduce := r.Reproduce
+	if *exp == experiments.SamplingID {
+		// The sampling figure sets every budget itself: its validation
+		// budget (valInsts), headline budget and plan come from the flags.
+		reproduce = func(string) (string, error) {
+			res, err := r.Sampling(valInsts, *budget, plan)
+			if err != nil {
+				return "", err
+			}
+			return res.Format(), nil
+		}
+	}
+	err = runFigures(stdout, logger, r, ids, reproduce)
 	if perr := stop(); err == nil {
 		err = perr
 	}
@@ -133,77 +126,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// validExperiment reports whether id names a reproducible experiment.
-// The policy lab is valid standalone but not part of "all" (it is this
-// simulator's extension, not a paper figure).
-func validExperiment(id string) bool {
-	if id == "all" || id == tcsim.PoliciesExperimentID || id == tcsim.SamplingExperimentID {
-		return true
-	}
-	for _, known := range tcsim.ExperimentIDs() {
-		if id == known {
-			return true
-		}
-	}
-	return false
-}
-
-func runFigures(stdout io.Writer, logger *slog.Logger, exp string, insts uint64) error {
-	ids := []string{exp}
-	if exp == "all" {
-		ids = tcsim.ExperimentIDs()
-	}
-	suite := tcsim.NewSuite(insts)
-	logger.Info("suite start", "experiments", len(ids), "insts", insts)
+// runFigures reproduces each id in turn on r, printing every figure to
+// stdout and progress to logger.
+func runFigures(stdout io.Writer, logger *slog.Logger, r *experiments.Runner, ids []string, reproduce func(id string) (string, error)) error {
+	logger.Info("suite start", "experiments", len(ids), "insts", r.Insts)
 	t00 := time.Now()
 	for _, id := range ids {
-		logger.Info("figure start", "id", id, "simulations", suite.Simulations())
+		logger.Info("figure start", "id", id, "simulations", r.SimCount())
 		t0 := time.Now()
-		out, err := suite.Reproduce(id)
+		out, err := reproduce(id)
 		if err != nil {
 			logger.Error("figure failed", "id", id, "error", err.Error())
 			return err
 		}
 		logger.Info("figure done", "id", id,
-			"wall", time.Since(t0).Round(time.Millisecond), "simulations", suite.Simulations())
+			"wall", time.Since(t0).Round(time.Millisecond), "simulations", r.SimCount())
 		fmt.Fprintln(stdout, out)
 	}
 	logger.Info("suite done", "wall", time.Since(t00).Round(time.Millisecond),
-		"simulations", suite.Simulations())
+		"simulations", r.SimCount())
 	return nil
-}
-
-// runSampling reproduces the sampled-timing validation figure:
-// sampled vs exact IPC at the validation budget (0 = 2M), then the
-// headline sampled sweep at the -budget budget (0 = 50M).
-func runSampling(stdout io.Writer, logger *slog.Logger, valInsts, budget uint64, plan tcsim.SamplingConfig) error {
-	suite := tcsim.NewSuite(0)
-	logger.Info("figure start", "id", tcsim.SamplingExperimentID,
-		"validate_insts", valInsts, "headline_insts", budget)
-	t0 := time.Now()
-	out, err := suite.Sampling(valInsts, budget, plan)
-	if err != nil {
-		logger.Error("figure failed", "id", tcsim.SamplingExperimentID, "error", err.Error())
-		return err
-	}
-	logger.Info("figure done", "id", tcsim.SamplingExperimentID,
-		"wall", time.Since(t0).Round(time.Millisecond), "simulations", suite.Simulations())
-	fmt.Fprintln(stdout, out)
-	return nil
-}
-
-// listPolicies prints the replacement-policy registry (-list-policies;
-// tcsim has the same flag).
-func listPolicies(stdout io.Writer) {
-	for _, p := range tcsim.Policies() {
-		mark := " "
-		switch {
-		case p.Default:
-			mark = "*"
-		case p.Oracle:
-			mark = "o"
-		}
-		fmt.Fprintf(stdout, "%s %-8s %s\n", mark, p.Name, p.Desc)
-	}
-	fmt.Fprintln(stdout, "(* = default; o = oracle bound, runs over captured workload traces only)")
 }

@@ -43,14 +43,3 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		})
 	}
 }
-
-// TestListPasses checks the informational path exits 0 on stdout.
-func TestListPasses(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list-passes"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code = %d, stderr %q", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "moves") {
-		t.Errorf("stdout %q missing pass roster", stdout.String())
-	}
-}

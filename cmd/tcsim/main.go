@@ -62,15 +62,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2 // the FlagSet already printed the error and usage to stderr
 	}
+	// Library errors already carry the "tcsim:" prefix; don't double it.
+	errorf := func(format string, args ...any) {
+		msg := strings.TrimPrefix(fmt.Sprintf(format, args...), "tcsim: ")
+		fmt.Fprintf(stderr, "tcsim: %s\n", msg)
+	}
 	usagef := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "tcsim: "+format+"\n", args...)
+		errorf(format, args...)
 		fmt.Fprintln(stderr, "run 'tcsim -h' for usage")
 		return 2
 	}
 	fatalf := func(format string, args ...any) int {
-		// Library errors already carry the "tcsim:" prefix; don't double it.
-		msg := strings.TrimPrefix(fmt.Sprintf(format, args...), "tcsim: ")
-		fmt.Fprintf(stderr, "tcsim: %s\n", msg)
+		errorf(format, args...)
 		return 1
 	}
 
@@ -108,25 +111,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.InactiveIssue = !*noInact
 	cfg.Clusters = *clusters
 	cfg.FUsPerCluster = *fus
-	if err := tcsim.ValidateGeometry(cfg.Clusters, cfg.FUsPerCluster); err != nil {
-		return usagef("%v", err)
-	}
 	cfg.TimePasses = *timePass
 	cfg.Timeline = *timeline != ""
 	cfg.TimelineEvents = *tlEvents
 	cfg.TCPolicy = *tcPolicy
 	cfg.ICPolicy = *icPolicy
-	for _, p := range []string{*tcPolicy, *icPolicy} {
-		if err := tcsim.ValidatePolicy(p); err != nil {
-			return usagef("%v", err)
-		}
-	}
 	if *passes == "all" {
 		cfg.Passes = tcsim.DefaultPassSpec()
 	} else {
 		cfg.Passes = splitSpec(*passes)
 	}
-	if err := tcsim.ValidatePassSpec(cfg.Passes); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return usagef("%v", err)
 	}
 	store := tcsim.NewTraceStore(0)

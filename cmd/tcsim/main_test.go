@@ -25,6 +25,12 @@ func TestBadFlagsExitNonZero(t *testing.T) {
 		{"unknown opt", []string{"-workload", "m88ksim", "-opt", "nosuch"}, "flag provided but not defined: -opt"},
 		{"budget", []string{"-workload", "m88ksim", "-budget", "5000"}, "flag provided but not defined: -budget"},
 		{"huge geometry", []string{"-workload", "m88ksim", "-clusters", "2147483648", "-fus-per-cluster", "2147483648"}, "exceeds the backend bound"},
+		// Zero selects a default; a negative count is an error, never a
+		// silent run of the default machine.
+		{"negative geometry", []string{"-workload", "li", "-insts", "20000", "-clusters", "-3", "-fus-per-cluster", "-2"}, "backend geometry -3 x -2 is negative"},
+		{"negative fill latency", []string{"-workload", "li", "-insts", "20000", "-fill-latency", "-7"}, "fill latency -7 is negative"},
+		{"negative timeline events", []string{"-workload", "li", "-insts", "2000", "-timeline", "X", "-timeline-events", "-1"}, "timeline capacity -1 events"},
+		{"huge timeline events", []string{"-workload", "li", "-insts", "2000", "-timeline", "X", "-timeline-events", "1125899906842624"}, "timeline capacity 1125899906842624 events"},
 		{"workload and asm", []string{"-workload", "m88ksim", "-asm", "x.s"}, "not both"},
 		{"no input", nil, "pass -workload"},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
@@ -96,7 +102,7 @@ func TestHappyPath(t *testing.T) {
 	if !strings.Contains(stdout.String(), "IPC") {
 		t.Errorf("stdout %q missing the IPC line", stdout.String())
 	}
-	for _, listArgs := range [][]string{{"-list"}, {"-list-passes"}} {
+	for _, listArgs := range [][]string{{"-list"}, {"-list-passes"}, {"-list-policies"}} {
 		var out, errb bytes.Buffer
 		if code := run(listArgs, &out, &errb); code != 0 || out.Len() == 0 {
 			t.Errorf("run(%v) = %d with stdout %q", listArgs, code, out.String())

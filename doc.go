@@ -29,7 +29,7 @@
 // TCR assembly with RunContext, and read the statistics the paper's
 // figures are built from. Workload runs capture each program's
 // instruction stream once into the TraceStore they are handed and
-// replay it afterwards. The experiment harness that regenerates every
-// table and figure lives behind Suite (NewSuite, Suite.Reproduce) and
-// the cmd/tcexp tool.
+// replay it afterwards. Config.Validate checks a machine without
+// running it. The cmd/tcexp tool regenerates every table and figure;
+// each of its simulations is a RunWorkloadContextIn call.
 package tcsim

@@ -15,12 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tcsim/internal/asm"
-	"tcsim/internal/bpred"
+	"tcsim"
 	"tcsim/internal/core"
-	"tcsim/internal/emu"
-	"tcsim/internal/pipeline"
-	"tcsim/internal/tracestore"
 	"tcsim/internal/workload"
 )
 
@@ -28,10 +24,11 @@ import (
 // figures can share baseline runs: when two figures concurrently ask for
 // the same workload/variant pair, one simulation runs and both wait on
 // it. Simulations are throttled by a worker pool sized GOMAXPROCS (or
-// Parallel). Every simulation draws its correct-path stream from the
-// Runner's own trace store, so each workload is emulated once per
-// Runner, not once per variant. Create one with NewRunner; it is safe
-// for concurrent use.
+// Parallel). Every simulation is a tcsim.RunWorkloadContextIn call over
+// the Runner's own trace store — the run path tcsim, tcserved and
+// tcbench share — so each workload is emulated once per Runner, not
+// once per variant. Create one with NewRunner; it is safe for
+// concurrent use.
 type Runner struct {
 	// Insts overrides every workload's instruction budget when non-zero.
 	Insts uint64
@@ -41,7 +38,7 @@ type Runner struct {
 	// when the first simulation starts.
 	Parallel int
 
-	store   *tracestore.Store
+	store   *tcsim.TraceStore
 	mu      sync.Mutex
 	flights map[string]*flight
 	workers chan struct{} // worker-pool slots, built lazily from Parallel
@@ -50,17 +47,17 @@ type Runner struct {
 }
 
 // flight is one singleflight cell: the first caller for a key simulates
-// and closes done; everyone else blocks on done and reads st/err.
+// and closes done; everyone else blocks on done and reads res/err.
 type flight struct {
 	done chan struct{}
-	st   pipeline.Stats
+	res  tcsim.Result
 	err  error
 }
 
 // NewRunner returns a Runner with an instruction budget override
 // (0 keeps each workload's default).
 func NewRunner(insts uint64) *Runner {
-	return &Runner{Insts: insts, store: tracestore.NewStore(0), flights: make(map[string]*flight)}
+	return &Runner{Insts: insts, store: tcsim.NewTraceStore(0), flights: make(map[string]*flight)}
 }
 
 func (r *Runner) workloads() []workload.Workload {
@@ -77,16 +74,18 @@ func (r *Runner) workloads() []workload.Workload {
 }
 
 // ConfigVariant names a machine configuration for caching and reporting.
+// Mut edits the paper's baseline machine (tcsim.DefaultConfig, with
+// MaxInsts already set to the Runner's budget).
 type ConfigVariant struct {
 	Name string
-	Mut  func(*pipeline.Config)
+	Mut  func(*tcsim.Config)
 }
 
 // VariantFromPasses builds a variant that runs exactly the named passes
-// in the given order (a core pass spec; illegal specs surface as errors
-// from the simulator's constructor).
+// in the given order (a pass spec; illegal specs surface as errors from
+// tcsim's Config.Validate).
 func VariantFromPasses(name string, passes []string) ConfigVariant {
-	return ConfigVariant{Name: name, Mut: func(c *pipeline.Config) { c.Fill.Passes = passes }}
+	return ConfigVariant{Name: name, Mut: func(c *tcsim.Config) { c.Passes = passes }}
 }
 
 // VariantForPass is the one-optimization-at-a-time variant for a single
@@ -114,7 +113,7 @@ func SinglePassVariants() []ConfigVariant {
 // variant runs exactly that pass; AllOpts runs the paper's combined
 // pipeline (every Default pass in canonical order).
 var (
-	Baseline    = ConfigVariant{Name: "baseline", Mut: func(*pipeline.Config) {}}
+	Baseline    = ConfigVariant{Name: "baseline", Mut: func(*tcsim.Config) {}}
 	MovesOnly   = VariantForPass("moves")
 	ReassocOnly = VariantForPass("reassoc")
 	ScaledOnly  = VariantForPass("scadd")
@@ -127,15 +126,15 @@ var (
 func AllOptsLatency(lat int) ConfigVariant {
 	return ConfigVariant{
 		Name: fmt.Sprintf("all@lat%d", lat),
-		Mut: func(c *pipeline.Config) {
-			c.Fill.Passes = core.DefaultPassSpec()
-			c.Fill.FillLatency = lat
+		Mut: func(c *tcsim.Config) {
+			c.Passes = core.DefaultPassSpec()
+			c.FillLatency = lat
 		},
 	}
 }
 
 // Run simulates one workload under one variant, memoized.
-func (r *Runner) Run(w workload.Workload, v ConfigVariant) (pipeline.Stats, error) {
+func (r *Runner) Run(w workload.Workload, v ConfigVariant) (tcsim.Result, error) {
 	return r.RunContext(context.Background(), w, v)
 }
 
@@ -143,7 +142,7 @@ func (r *Runner) Run(w workload.Workload, v ConfigVariant) (pipeline.Stats, erro
 // aborts early when it is cancelled. A cancelled flight is forgotten so
 // a later caller can rerun the pair; completed results are memoized for
 // the Runner's lifetime.
-func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVariant) (pipeline.Stats, error) {
+func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVariant) (tcsim.Result, error) {
 	key := w.Name + "/" + v.Name
 	for {
 		r.mu.Lock()
@@ -152,7 +151,7 @@ func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVa
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return pipeline.Stats{}, ctx.Err()
+				return tcsim.Result{}, ctx.Err()
 			}
 			if isCancel(f.err) {
 				// The owning caller was cancelled before finishing; its
@@ -161,23 +160,23 @@ func (r *Runner) RunContext(ctx context.Context, w workload.Workload, v ConfigVa
 				r.forget(key, f)
 				continue
 			}
-			return f.st, f.err
+			return f.res, f.err
 		}
 		f := &flight{done: make(chan struct{})}
 		r.flights[key] = f
 		r.mu.Unlock()
 
-		f.st, f.err = r.simulate(ctx, w, v)
+		f.res, f.err = r.simulate(ctx, w, v)
 		if isCancel(f.err) {
 			r.forget(key, f)
 		}
 		close(f.done)
-		return f.st, f.err
+		return f.res, f.err
 	}
 }
 
 func isCancel(err error) bool {
-	return err != nil && (errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
+	return err != nil && (errors.Is(err, tcsim.ErrCanceled) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
 // forget removes a flight cell if it is still the one registered for key.
@@ -205,85 +204,63 @@ func (r *Runner) sem() chan struct{} {
 }
 
 // simulate runs one actual simulation inside a worker-pool slot.
-func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVariant) (pipeline.Stats, error) {
+func (r *Runner) simulate(ctx context.Context, w workload.Workload, v ConfigVariant) (tcsim.Result, error) {
 	sem := r.sem()
 	select {
 	case sem <- struct{}{}:
 	case <-ctx.Done():
-		return pipeline.Stats{}, ctx.Err()
+		return tcsim.Result{}, ctx.Err()
 	}
 	defer func() { <-sem }()
 	if err := ctx.Err(); err != nil {
-		return pipeline.Stats{}, err
+		return tcsim.Result{}, err
 	}
+	return r.execute(ctx, w, v)
+}
 
+// execute runs w under v through tcsim.RunWorkloadContextIn over the
+// Runner's trace store: every variant of a workload replays one
+// capture, so a sweep pays emulation per workload, not per (workload ×
+// variant). The run is labelled with its workload and variant, on top
+// of the phase label tcsim gives every run, so profiles split sweep
+// time by all three.
+func (r *Runner) execute(ctx context.Context, w workload.Workload, v ConfigVariant) (tcsim.Result, error) {
 	r.simCount.Add(1)
-	cfg := pipeline.DefaultConfig()
-	cfg.MaxInsts = w.DefaultInsts
-	if r.Insts > 0 {
-		cfg.MaxInsts = r.Insts
-	}
+	cfg := tcsim.DefaultConfig()
+	cfg.MaxInsts = r.Insts // 0 = the workload's default
 	v.Mut(&cfg)
-	cfg.Cancelled = func() bool { return ctx.Err() != nil }
-	src, err := r.bind(ctx, w, &cfg)
+	var res tcsim.Result
+	var err error
+	pprof.Do(ctx, pprof.Labels("workload", w.Name, "variant", v.Name), func(ctx context.Context) {
+		res, err = tcsim.RunWorkloadContextIn(ctx, cfg, w.Name, r.store)
+	})
 	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
+		return tcsim.Result{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
 	}
-	sim, err := pipeline.New(cfg, src.Prog)
-	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
-	}
-	// Label the simulation so profiles split sweep time by workload,
-	// variant, and capture-vs-replay phase.
-	var st pipeline.Stats
-	pprof.Do(ctx, pprof.Labels("workload", w.Name, "variant", v.Name, "phase", src.Phase()),
-		func(context.Context) {
-			st, err = sim.Run()
-		})
-	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s/%s: %w", w.Name, v.Name, err)
-	}
-	return st, nil
+	return res, nil
 }
 
 // SimCount reports how many simulations have actually executed (memo
 // hits and singleflight waiters excluded) — a test and reporting hook.
 func (r *Runner) SimCount() uint64 { return r.simCount.Load() }
 
-// bind points cfg at the correct-path stream the Runner's trace store
-// picks for w at cfg's budget: every variant of a workload replays one
-// capture, so a sweep pays emulation per workload, not per (workload ×
-// variant). The captured trace doubles as the future-reference index
-// oracle replacement policies (the Belady bound) consult.
-func (r *Runner) bind(ctx context.Context, w workload.Workload, cfg *pipeline.Config) (tracestore.RunSource, error) {
-	src, err := r.store.Source(ctx, w.Name, cfg.MaxInsts, cfg.Sampling.Enabled() && cfg.Sampling.Seek, pipeline.MaxOracleLead(*cfg))
-	if err != nil {
-		return src, err
-	}
-	cfg.Oracle = src.Oracle
-	if src.Future != nil {
-		cfg.Future = src.Future
-	}
-	return src, nil
-}
-
 // runAll executes the variant over every selected workload, in parallel.
 // The worker pool inside simulate bounds concurrency, so one goroutine
 // per workload is cheap; the first real error cancels the rest.
-func (r *Runner) runAll(v ConfigVariant) (map[string]pipeline.Stats, error) {
+func (r *Runner) runAll(v ConfigVariant) (map[string]tcsim.Result, error) {
 	ws := r.workloads()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	out := make(map[string]pipeline.Stats, len(ws))
+	out := make(map[string]tcsim.Result, len(ws))
 	var firstErr error
 	for _, w := range ws {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := r.RunContext(ctx, w, v)
+			res, err := r.RunContext(ctx, w, v)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -295,7 +272,7 @@ func (r *Runner) runAll(v ConfigVariant) (map[string]pipeline.Stats, error) {
 				}
 				return
 			}
-			out[w.Name] = st
+			out[w.Name] = res
 		}()
 	}
 	wg.Wait()
@@ -416,8 +393,8 @@ func (r *Runner) Figure7() (*Figure7Result, error) {
 	for _, w := range r.workloads() {
 		row := BypassRow{
 			Name:         w.Name,
-			BaselinePct:  100 * base[w.Name].BypassDelayRate(),
-			PlacementPct: 100 * place[w.Name].BypassDelayRate(),
+			BaselinePct:  100 * base[w.Name].BypassDelayRate,
+			PlacementPct: 100 * place[w.Name].BypassDelayRate,
 		}
 		sb += row.BaselinePct
 		sp += row.PlacementPct
@@ -520,17 +497,13 @@ func (r *Runner) Table2() (*Table2Result, error) {
 	res := &Table2Result{PaperAvgTotal: 13.3}
 	sum := 0.0
 	for _, w := range r.workloads() {
-		st := all[w.Name]
-		ret := float64(st.Retired)
-		if ret == 0 {
-			ret = 1
-		}
+		a := all[w.Name]
 		row := Table2Row{
 			Name:         w.Name,
-			MovesPct:     100 * float64(st.RetiredMoves) / ret,
-			ReassocPct:   100 * float64(st.RetiredReassoc) / ret,
-			ScaledPct:    100 * float64(st.RetiredScaled) / ret,
-			TotalPct:     100 * float64(st.RetiredAnyOpt) / ret,
+			MovesPct:     a.MovesPct,
+			ReassocPct:   a.ReassocPct,
+			ScaledPct:    a.ScaledPct,
+			TotalPct:     a.OptimizedPct,
 			PaperMoves:   w.Table2[0],
 			PaperReassoc: w.Table2[1],
 			PaperScaled:  w.Table2[2],
@@ -550,6 +523,8 @@ func (r *Runner) Table2() (*Table2Result, error) {
 // itself, and the cluster organization.
 type AblationResult struct {
 	Variants []string
+	// Names is the row order: the selected workloads.
+	Names []string
 	// IPC[workload][variant index]
 	IPC map[string][]float64
 }
@@ -558,24 +533,18 @@ type AblationResult struct {
 func (r *Runner) Ablations() (*AblationResult, error) {
 	variants := []ConfigVariant{
 		Baseline,
-		{Name: "no-promotion", Mut: func(c *pipeline.Config) { c.Fill.Promotion = false }},
-		{Name: "no-packing", Mut: func(c *pipeline.Config) { c.Fill.TracePacking = false }},
-		{Name: "no-inactive", Mut: func(c *pipeline.Config) { c.InactiveIssue = false }},
-		{Name: "no-tcache", Mut: func(c *pipeline.Config) { c.UseTraceCache = false }},
+		{Name: "no-promotion", Mut: func(c *tcsim.Config) { c.Promotion = false }},
+		{Name: "no-packing", Mut: func(c *tcsim.Config) { c.TracePacking = false }},
+		{Name: "no-inactive", Mut: func(c *tcsim.Config) { c.InactiveIssue = false }},
+		{Name: "no-tcache", Mut: func(c *tcsim.Config) { c.UseTraceCache = false }},
 		// Every registered pass in canonical order: the combined
 		// configuration plus the dead-write extension — and any custom
 		// pass the embedding program registers, with no edits here.
 		VariantFromPasses("all+dwe", core.AllPassSpec()),
-		{Name: "1x16", Mut: func(c *pipeline.Config) {
-			c.Exec.Clusters, c.Exec.FUsPerCluster = 1, 16
-			c.Fill.Clusters, c.Fill.FUsPerCluster = 1, 16
-		}},
-		{Name: "8x2", Mut: func(c *pipeline.Config) {
-			c.Exec.Clusters, c.Exec.FUsPerCluster = 8, 2
-			c.Fill.Clusters, c.Fill.FUsPerCluster = 8, 2
-		}},
+		{Name: "1x16", Mut: func(c *tcsim.Config) { c.Clusters, c.FUsPerCluster = 1, 16 }},
+		{Name: "8x2", Mut: func(c *tcsim.Config) { c.Clusters, c.FUsPerCluster = 8, 2 }},
 	}
-	res := &AblationResult{IPC: make(map[string][]float64)}
+	res := &AblationResult{Names: r.WorkloadNames(), IPC: make(map[string][]float64)}
 	for _, v := range variants {
 		res.Variants = append(res.Variants, v.Name)
 		stats, err := r.runAll(v)
@@ -617,26 +586,73 @@ func (r *Runner) CacheKeys() []string {
 	return ks
 }
 
-// FillOnly drives the fill unit (with every optimization enabled)
-// directly from the functional emulator's retire stream, bypassing the
-// timing pipeline — a pure benchmark of segment construction and the
-// four optimization passes.
-func FillOnly(prog *asm.Program, insts uint64) error {
-	m := emu.New(prog)
-	cfg := core.DefaultConfig()
-	cfg.Passes = core.DefaultPassSpec()
-	f, err := core.New(cfg, bpred.NewBiasTable(8<<10, 64))
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < insts; i++ {
-		rec, err := m.Step()
+// Experiment ids beyond the paper's evaluation: this simulator's own
+// extensions. Reproduce accepts them, but the "all" sweep (PaperIDs)
+// leaves them out so its output stays the paper's.
+const (
+	// PoliciesID is the registry-generated replacement policy x
+	// workload figure (IPC and trace-cache hit rate under every
+	// registered policy, the Belady oracle as the upper-bound column).
+	PoliciesID = "policies"
+	// SamplingID is the sampled-timing validation figure (sampled vs
+	// exact IPC with CI coverage, plus a long-budget headline sweep) at
+	// its default budgets and plan; call Sampling to choose them.
+	SamplingID = "sampling"
+)
+
+// catalog maps every experiment id, in presentation order, to the
+// function that reproduces it and formats the result: the paper's
+// evaluation first, then the two extensions (PaperIDs relies on this).
+var catalog = []struct {
+	id  string
+	run func(*Runner) (string, error)
+}{
+	{"table1", func(r *Runner) (string, error) { return FormatTable1(r.Insts), nil }},
+	{"fig3", formatted((*Runner).Figure3)},
+	{"fig4", formatted((*Runner).Figure4)},
+	{"fig5", formatted((*Runner).Figure5)},
+	{"fig6", formatted((*Runner).Figure6)},
+	{"fig7", formatted((*Runner).Figure7)},
+	{"fig8", formatted((*Runner).Figure8)},
+	{"table2", formatted((*Runner).Table2)},
+	{"ablations", formatted((*Runner).Ablations)},
+	{PoliciesID, formatted((*Runner).PolicyLab)},
+	{SamplingID, formatted(func(r *Runner) (*SamplingResult, error) { return r.Sampling(0, 0, tcsim.SamplingConfig{}) })},
+}
+
+// formatted turns a figure's driver into a catalog entry.
+func formatted[T interface{ Format() string }](fig func(*Runner) (T, error)) func(*Runner) (string, error) {
+	return func(r *Runner) (string, error) {
+		res, err := fig(r)
 		if err != nil {
-			return err
+			return "", err
 		}
-		f.Collect(rec, i)
-		f.Drain(i)
+		return res.Format(), nil
 	}
-	f.Flush(insts)
-	return nil
+}
+
+// IDs lists every id Reproduce accepts: PaperIDs, then PoliciesID and
+// SamplingID.
+func IDs() []string {
+	ids := make([]string, len(catalog))
+	for i, e := range catalog {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// PaperIDs lists the paper's tables and figures (plus the ablations) in
+// the order the "all" sweep reproduces them.
+func PaperIDs() []string { return IDs()[:len(catalog)-2] }
+
+// Reproduce regenerates one table or figure by id (see IDs) and returns
+// it formatted. It reuses every simulation the Runner has already run,
+// so callers reproducing several figures should share one Runner.
+func (r *Runner) Reproduce(id string) (string, error) {
+	for _, e := range catalog {
+		if e.id == id {
+			return e.run(r)
+		}
+	}
+	return "", fmt.Errorf("experiments: unknown experiment %q", id)
 }

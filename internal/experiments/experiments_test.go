@@ -173,12 +173,12 @@ func TestAblations(t *testing.T) {
 	if len(res.Variants) != 8 {
 		t.Fatalf("variants = %v", res.Variants)
 	}
-	for _, n := range r.WorkloadNames() {
+	for _, n := range res.Names {
 		if len(res.IPC[n]) != 8 {
 			t.Errorf("%s: %d points", n, len(res.IPC[n]))
 		}
 	}
-	out := res.Format(r.WorkloadNames())
+	out := res.Format()
 	if !strings.Contains(out, "no-tcache") {
 		t.Error("ablation format incomplete")
 	}
@@ -196,9 +196,28 @@ func TestFormatTable1(t *testing.T) {
 	}
 }
 
-func TestFillOnly(t *testing.T) {
-	w, _ := workload.ByName("compress")
-	if err := FillOnly(w.Build(), 5_000); err != nil {
+// TestReproduceFigureIDs: the "all" sweep covers the paper's nine
+// tables and figures, every id Reproduce accepts is listed, and an
+// unknown id is an error.
+func TestReproduceFigureIDs(t *testing.T) {
+	if got := PaperIDs(); len(got) != 9 || got[0] != "table1" || got[8] != "ablations" {
+		t.Fatalf("PaperIDs = %v", got)
+	}
+	if got, want := IDs(), append(PaperIDs(), PoliciesID, SamplingID); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("IDs = %v, want %v", got, want)
+	}
+	r := NewRunner(0)
+	out, err := r.Reproduce("table1")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(out, "compress") {
+		t.Error("table1 output incomplete")
+	}
+	if _, err := r.Reproduce("fig99"); err == nil {
+		t.Error("unknown figure should fail")
+	}
+	if r.SimCount() != 0 {
+		t.Errorf("table1 and an unknown id ran %d simulations", r.SimCount())
 	}
 }

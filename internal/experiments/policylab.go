@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"tcsim"
 	"tcsim/internal/core"
-	"tcsim/internal/pipeline"
 	"tcsim/internal/replace"
 )
 
@@ -29,6 +29,8 @@ type PolicyLabResult struct {
 	Policies []string
 	// Oracle flags the upper-bound columns by policy name.
 	Oracle map[string]bool
+	// Names is the row order: the selected workloads.
+	Names []string
 	// Cells[workload][i] measures Policies[i] on that workload.
 	Cells map[string][]PolicyCell
 }
@@ -41,9 +43,9 @@ func PolicyVariant(policy string) ConfigVariant {
 	}
 	return ConfigVariant{
 		Name: "policy:" + policy,
-		Mut: func(c *pipeline.Config) {
-			c.Fill.Passes = core.DefaultPassSpec()
-			c.TCache.Policy = policy
+		Mut: func(c *tcsim.Config) {
+			c.Passes = core.DefaultPassSpec()
+			c.TCPolicy = policy
 		},
 	}
 }
@@ -71,6 +73,7 @@ func (r *Runner) PolicyLab() (*PolicyLabResult, error) {
 	res := &PolicyLabResult{
 		Policies: names,
 		Oracle:   oracle,
+		Names:    r.WorkloadNames(),
 		Cells:    make(map[string][]PolicyCell),
 	}
 	for _, name := range names {
@@ -82,7 +85,7 @@ func (r *Runner) PolicyLab() (*PolicyLabResult, error) {
 			st := stats[w.Name]
 			res.Cells[w.Name] = append(res.Cells[w.Name], PolicyCell{
 				IPC:   st.IPC,
-				TCHit: 100 * st.TCHitRate,
+				TCHit: 100 * st.TraceCacheHitRate,
 			})
 		}
 	}
@@ -91,7 +94,7 @@ func (r *Runner) PolicyLab() (*PolicyLabResult, error) {
 
 // Format renders the policy lab as two matrices (IPC, then trace-cache
 // hit rate), one column per policy with the oracle bound marked.
-func (p *PolicyLabResult) Format(names []string) string {
+func (p *PolicyLabResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "POLICIES: replacement-policy lab (combined config; * = offline upper bound)\n")
 	header := func() {
@@ -106,7 +109,7 @@ func (p *PolicyLabResult) Format(names []string) string {
 	}
 	fmt.Fprintln(&b, "IPC:")
 	header()
-	for _, n := range names {
+	for _, n := range p.Names {
 		fmt.Fprintf(&b, "%-10s", n)
 		for _, c := range p.Cells[n] {
 			fmt.Fprintf(&b, " %9.3f", c.IPC)
@@ -115,7 +118,7 @@ func (p *PolicyLabResult) Format(names []string) string {
 	}
 	fmt.Fprintln(&b, "trace-cache hit %:")
 	header()
-	for _, n := range names {
+	for _, n := range p.Names {
 		fmt.Fprintf(&b, "%-10s", n)
 		for _, c := range p.Cells[n] {
 			fmt.Fprintf(&b, " %9.2f", c.TCHit)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"tcsim/internal/pipeline"
+	"tcsim"
 )
 
 // The sampling experiment validates the SMARTS estimator against full
@@ -52,7 +52,7 @@ type SamplingHeadlineRow struct {
 // SamplingResult is the reproduced sampling-validation figure.
 type SamplingResult struct {
 	ValidateInsts uint64
-	Plan          pipeline.SamplingConfig
+	Plan          tcsim.SamplingConfig
 	Rows          []SamplingRow
 	GeomeanAbsErr float64 // geomean of |ErrPct|
 	AllInCI       bool
@@ -64,10 +64,10 @@ type SamplingResult struct {
 // SampledVariant is the baseline machine with sampling enabled under
 // the given plan at the given budget. Both parameters land in the
 // variant name so distinct plans memoize separately.
-func SampledVariant(insts uint64, plan pipeline.SamplingConfig) ConfigVariant {
+func SampledVariant(insts uint64, plan tcsim.SamplingConfig) ConfigVariant {
 	return ConfigVariant{
 		Name: fmt.Sprintf("sampled@%d/p%d-w%d-u%d", insts, plan.Period, plan.WindowLen, plan.Warmup),
-		Mut: func(c *pipeline.Config) {
+		Mut: func(c *tcsim.Config) {
 			c.MaxInsts = insts
 			c.Sampling = plan
 		},
@@ -78,7 +78,7 @@ func SampledVariant(insts uint64, plan pipeline.SamplingConfig) ConfigVariant {
 func ExactVariant(insts uint64) ConfigVariant {
 	return ConfigVariant{
 		Name: fmt.Sprintf("exact@%d", insts),
-		Mut:  func(c *pipeline.Config) { c.MaxInsts = insts },
+		Mut:  func(c *tcsim.Config) { c.MaxInsts = insts },
 	}
 }
 
@@ -88,7 +88,7 @@ func ExactVariant(insts uint64) ConfigVariant {
 // default (each half gets its own). Validation runs are memoized like
 // every figure; headline runs are timed sequentially (so the wall
 // column means something) and never cached.
-func (r *Runner) Sampling(valInsts, headInsts uint64, plan pipeline.SamplingConfig) (*SamplingResult, error) {
+func (r *Runner) Sampling(valInsts, headInsts uint64, plan tcsim.SamplingConfig) (*SamplingResult, error) {
 	if valInsts == 0 {
 		valInsts = DefaultSamplingValidateInsts
 	}
@@ -97,8 +97,8 @@ func (r *Runner) Sampling(valInsts, headInsts uint64, plan pipeline.SamplingConf
 	}
 	valPlan, headPlan := plan, plan
 	if !plan.Enabled() {
-		valPlan = pipeline.DefaultSamplingFor(valInsts)
-		headPlan = pipeline.DefaultSamplingFor(headInsts)
+		valPlan = tcsim.DefaultSamplingFor(valInsts)
+		headPlan = tcsim.DefaultSamplingFor(headInsts)
 	}
 	exact, err := r.runAll(ExactVariant(valInsts))
 	if err != nil {
@@ -141,25 +141,14 @@ func (r *Runner) Sampling(valInsts, headInsts uint64, plan pipeline.SamplingConf
 		res.GeomeanAbsErr = math.Exp(logSum / float64(n))
 	}
 
+	head := SampledVariant(headInsts, headPlan)
 	for _, w := range r.workloads() {
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInsts = headInsts
-		cfg.Sampling = headPlan
 		t0 := time.Now()
-		src, err := r.bind(context.Background(), w, &cfg)
+		st, err := r.execute(context.Background(), w, head)
 		if err != nil {
-			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
-		}
-		sim, err := pipeline.New(cfg, src.Prog)
-		if err != nil {
-			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
-		}
-		st, err := sim.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sampling headline %s: %w", w.Name, err)
+			return nil, fmt.Errorf("sampling headline: %w", err)
 		}
 		wall := time.Since(t0).Seconds()
-		r.simCount.Add(1)
 		row := SamplingHeadlineRow{
 			Name:               w.Name,
 			IPC:                st.Sampled.IPC,

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"tcsim/internal/pipeline"
+	"tcsim"
 	"tcsim/internal/tracestore"
 )
 
@@ -17,7 +17,7 @@ func TestSamplingFigure(t *testing.T) {
 	r := NewRunner(0)
 	r.Workloads = []string{"compress", "li"}
 	r.Parallel = 2
-	res, err := r.Sampling(300_000, 600_000, pipeline.SamplingConfig{})
+	res, err := r.Sampling(300_000, 600_000, tcsim.SamplingConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestSamplingFigure(t *testing.T) {
 func TestSamplingFigureMemoizes(t *testing.T) {
 	r := NewRunner(0)
 	r.Workloads = []string{"compress"}
-	if _, err := r.Sampling(300_000, 600_000, pipeline.SamplingConfig{}); err != nil {
+	if _, err := r.Sampling(300_000, 600_000, tcsim.SamplingConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	n := r.SimCount()
-	if _, err := r.Sampling(300_000, 600_000, pipeline.SamplingConfig{}); err != nil {
+	if _, err := r.Sampling(300_000, 600_000, tcsim.SamplingConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// Second reproduction reruns only the (uncached) headline row.
@@ -77,7 +77,7 @@ func TestSamplingFigureSeekPlan(t *testing.T) {
 
 	r := NewRunner(0)
 	r.Workloads = []string{"compress"}
-	plan := pipeline.SamplingConfig{Period: 60_000, WindowLen: 10_000, Warmup: 5_000, Seek: true}
+	plan := tcsim.SamplingConfig{Period: 60_000, WindowLen: 10_000, Warmup: 5_000, Seek: true}
 	res, err := r.Sampling(150_000, 300_000, plan)
 	if err != nil {
 		t.Fatal(err)

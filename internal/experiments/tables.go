@@ -105,7 +105,7 @@ func (t *Table2Result) Format() string {
 }
 
 // Format renders the ablation matrix.
-func (a *AblationResult) Format(names []string) string {
+func (a *AblationResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ABLATIONS: IPC under design-choice ablations\n")
 	fmt.Fprintf(&b, "%-10s", "bench")
@@ -113,7 +113,7 @@ func (a *AblationResult) Format(names []string) string {
 		fmt.Fprintf(&b, " %12s", v)
 	}
 	fmt.Fprintln(&b)
-	for _, n := range names {
+	for _, n := range a.Names {
 		fmt.Fprintf(&b, "%-10s", n)
 		for _, ipc := range a.IPC[n] {
 			fmt.Fprintf(&b, " %12.3f", ipc)

@@ -109,17 +109,10 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 		return s, badRequestf("unknown preset %q (valid: %q, %q)",
 			req.Preset, client.PresetBaseline, client.PresetAll)
 	}
-	if err := tcsim.ValidatePassSpec(s.Passes); err != nil {
-		return s, &badRequest{msg: err.Error()}
-	}
-
 	s.Timed = req.TimePasses
 	s.FillLat = req.FillLatency
 	if s.FillLat == 0 {
 		s.FillLat = 1
-	}
-	if s.FillLat < 0 {
-		return s, badRequestf("fill_latency must be >= 1, got %d", req.FillLatency)
 	}
 	s.Packing = !req.NoPacking
 	s.Promote = !req.NoPromotion
@@ -133,12 +126,6 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 	if s.FUs == 0 {
 		s.FUs = 4
 	}
-	if s.Clusters < 0 || s.FUs < 0 {
-		return s, badRequestf("clusters and fus_per_cluster must be positive")
-	}
-	if err := tcsim.ValidateGeometry(s.Clusters, s.FUs); err != nil {
-		return s, &badRequest{msg: err.Error()}
-	}
 	s.MaxCyc = req.MaxCycles
 	s.Timeline = req.Timeline
 
@@ -151,19 +138,11 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 	if !sc.Enabled() && (sc.WindowLen != 0 || sc.Warmup != 0 || sc.Seek) {
 		return s, badRequestf("sample_window/sample_warmup/sample_seek need sample_period > 0")
 	}
-	if err := sc.Validate(); err != nil {
-		return s, &badRequest{msg: err.Error()}
-	}
 	s.SamplePeriod = sc.Period
 	s.SampleWindow = sc.WindowLen
 	s.SampleWarmup = sc.Warmup
 	s.SampleSeek = sc.Seek
 
-	for _, p := range []string{req.TCPolicy, req.ICPolicy} {
-		if err := tcsim.ValidatePolicy(p); err != nil {
-			return s, &badRequest{msg: err.Error()}
-		}
-	}
 	s.TCPolicy = req.TCPolicy
 	if s.TCPolicy == "" {
 		s.TCPolicy = tcsim.DefaultPolicy()
@@ -171,6 +150,12 @@ func resolveSpec(req *client.JobRequest, lim Limits) (jobSpec, error) {
 	s.ICPolicy = req.ICPolicy
 	if s.ICPolicy == "" {
 		s.ICPolicy = tcsim.DefaultPolicy()
+	}
+	// The machine-level checks (pass spec, geometry, policies, sampling
+	// plan, negative counts) are the library's, run on the config the
+	// job would run.
+	if err := s.Config().Validate(); err != nil {
+		return s, &badRequest{msg: err.Error()}
 	}
 
 	if req.TimeoutMS < 0 {

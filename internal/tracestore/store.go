@@ -142,13 +142,6 @@ func (s *Store) SetDir(dir string) {
 	s.mu.Unlock()
 }
 
-// Dir returns the configured trace directory.
-func (s *Store) Dir() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dir
-}
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

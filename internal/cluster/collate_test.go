@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"tcsim/client"
 	"tcsim/internal/obs"
+	"tcsim/internal/server"
 )
 
 // getTree fetches one collated span tree from the gateway.
@@ -104,6 +106,84 @@ func TestTraceCollation(t *testing.T) {
 	// Malformed ID: rejected before any scrape.
 	if _, code := getTree(t, gts.URL, "bad%20id"); code != http.StatusBadRequest {
 		t.Errorf("malformed trace ID = %d, want 400", code)
+	}
+}
+
+// TestFailoverTraceTree: a request whose owner died fails over inside
+// the request itself, and the collated trace shows it. Probes an hour
+// apart keep the dead owner on the ring, so the gateway must attempt it,
+// fail, and retry on the survivor. The tree must still be connected
+// under one gateway root, name both the gateway and the survivor, and
+// hold a failed attempt, an ok attempt and the survivor's run span with
+// its capture/replay phase.
+func TestFailoverTraceTree(t *testing.T) {
+	g, gts, nodes := testClusterWith(t, 2, clusterOpts{probe: time.Hour})
+	ctx := context.Background()
+	cl := client.New(gts.URL)
+
+	req := &client.JobRequest{Workload: "m88ksim", Insts: 20_000}
+	_, key, err := server.ResolveConfig(req, server.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := g.ring.Owner(key)
+	survivor := nodes[1-victim].name
+	nodes[victim].kill()
+
+	rid := "failover-trace-rid"
+	job, err := cl.SubmitJob(client.WithRequestID(ctx, rid), req)
+	if err != nil {
+		t.Fatalf("submit through the degraded cluster: %v", err)
+	}
+	if job.State != client.StateDone || job.Result == nil {
+		t.Fatalf("failover job finished %q (error %q)", job.State, job.Error)
+	}
+
+	var tree obs.SpanTree
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		var code int
+		tree, code = getTree(t, gts.URL, rid)
+		if code != http.StatusOK {
+			t.Fatalf("GET /v1/trace/%s = %d", rid, code)
+		}
+		if tree.Connected || time.Now().After(deadline) {
+			break
+		}
+	}
+	if !tree.Connected {
+		t.Fatalf("failover trace never became connected: %d spans, %d roots, services %v",
+			tree.SpanCount, len(tree.Roots), tree.Services)
+	}
+	if len(tree.Roots) != 1 || tree.Roots[0].Service != "tcgate" {
+		t.Fatalf("want a single gateway root, got %d roots (first service %q)", len(tree.Roots), tree.Roots[0].Service)
+	}
+	if !slices.Contains(tree.Services, "tcgate") || !slices.Contains(tree.Services, survivor) {
+		t.Errorf("services %v, want both tcgate and the surviving node %s", tree.Services, survivor)
+	}
+	var attempts, failed, ok int
+	runPhase, runSeen := "", false
+	tree.Walk(func(n *obs.SpanNode) {
+		switch n.Name {
+		case "attempt":
+			attempts++
+			if n.Error != "" {
+				failed++
+			}
+			if n.Attrs["outcome"] == "ok" {
+				ok++
+			}
+		case "run":
+			runSeen, runPhase = true, n.Attrs["phase"]
+		}
+	})
+	if attempts < 2 || failed == 0 || ok == 0 {
+		t.Errorf("%d attempt spans (%d failed, %d ok), want the dead owner's failure and the survivor's success",
+			attempts, failed, ok)
+	}
+	if !runSeen {
+		t.Error("the survivor's run span is missing from the collated tree")
+	} else if runPhase != "capture" && runPhase != "replay" {
+		t.Errorf("run span phase %q, want capture or replay", runPhase)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -26,35 +27,95 @@ const testInsts = 5000
 // trace store, mounted on an httptest listener.
 type testNode struct {
 	name  string
+	queue int    // the daemon's wait line (0 = the engine default)
+	dir   string // trace directory kept across restarts ("" = none)
+	cdn   string // gateway base URL the store fetches capture misses from ("" = none)
 	store *tcsim.TraceStore
 	srv   *server.Server
 	ts    *httptest.Server
 }
 
+// start boots the node's daemon over a fresh trace store on addr
+// ("127.0.0.1:0" picks a port; a killed node restarts on its old one).
+func (n *testNode) start(t *testing.T, addr string) {
+	t.Helper()
+	n.store = tcsim.NewTraceStore(0)
+	n.store.SetDir(n.dir)
+	if n.cdn != "" {
+		n.store.SetFetcher(TraceFetcher(n.cdn, nil))
+	}
+	srv := server.New(server.Config{
+		Engine:  server.EngineConfig{Workers: 2, Queue: n.queue, Store: n.store},
+		Service: n.name,
+	})
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("node %s: %v", n.name, err)
+	}
+	ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: srv.Handler()}}
+	ts.Start()
+	n.srv, n.ts = srv, ts
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		ts.Close()
+		logFlight(t, srv.Flight())
+	})
+}
+
+// kill crashes the node: its listener and connections close and its
+// counters die with it. Cleanup drains the abandoned daemon.
+func (n *testNode) kill() {
+	n.ts.CloseClientConnections()
+	n.ts.Close()
+}
+
+// clusterOpts adjusts testClusterWith beyond testCluster's defaults.
+type clusterOpts struct {
+	// probe is the gateway's readiness-probe interval (0 = 50ms).
+	probe time.Duration
+	// queue is every node's wait line (0 = the engine default).
+	queue int
+	// persist gives each node its own trace directory and points its
+	// store's capture misses at the gateway's trace CDN, the way
+	// tcserved -tracedir -cdn runs a node.
+	persist bool
+}
+
 // testCluster boots n in-process nodes and a gateway over them. Each
 // node gets an isolated trace store so per-node CDN counters mean
-// something. Probes run on a tight interval.
+// something, and its node name as span service. Probes run on a tight
+// interval.
 func testCluster(t *testing.T, n int) (*Gateway, *httptest.Server, []*testNode) {
+	return testClusterWith(t, n, clusterOpts{})
+}
+
+// testClusterWith is testCluster with options.
+func testClusterWith(t *testing.T, n int, opts clusterOpts) (*Gateway, *httptest.Server, []*testNode) {
 	t.Helper()
+	if opts.probe == 0 {
+		opts.probe = 50 * time.Millisecond
+	}
+	// The gateway's address comes first: persistent nodes need its URL
+	// for their CDN fetchers before the gateway, which needs theirs, exists.
+	gts := httptest.NewUnstartedServer(nil)
+	t.Cleanup(gts.Close)
 	nodes := make([]*testNode, n)
 	cfgNodes := make([]Node, n)
 	for i := range nodes {
-		st := tcsim.NewTraceStore(0)
-		srv := server.New(server.Config{Engine: server.EngineConfig{Workers: 2, Store: st}})
-		ts := httptest.NewServer(srv.Handler())
-		nodes[i] = &testNode{name: fmt.Sprintf("node%d", i), store: st, srv: srv, ts: ts}
-		cfgNodes[i] = Node{Name: nodes[i].name, URL: ts.URL}
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-			ts.Close()
-		})
+		nd := &testNode{name: fmt.Sprintf("node%d", i), queue: opts.queue}
+		if opts.persist {
+			nd.dir, nd.cdn = t.TempDir(), "http://"+gts.Listener.Addr().String()
+		}
+		nd.start(t, "127.0.0.1:0")
+		nodes[i] = nd
+		cfgNodes[i] = Node{Name: nd.name, URL: nd.ts.URL}
 	}
 	g, err := New(Config{
 		Nodes:         cfgNodes,
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
+		ProbeInterval: opts.probe,
+		ProbeTimeout:  2 * time.Second,
 		Retry:         client.RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	})
 	if err != nil {
@@ -65,10 +126,25 @@ func testCluster(t *testing.T, n int) (*Gateway, *httptest.Server, []*testNode) 
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		g.Shutdown(ctx)
+		logFlight(t, g.Flight())
 	})
-	gts := httptest.NewServer(g.Handler())
-	t.Cleanup(gts.Close)
+	gts.Config.Handler = g.Handler()
+	gts.Start()
 	return g, gts, nodes
+}
+
+// logFlight writes a flight recorder into the log of a failed test, so
+// the failure comes with the recent spans and job events behind it.
+func logFlight(t *testing.T, fr *obs.FlightRecorder) {
+	if !t.Failed() {
+		return
+	}
+	var b strings.Builder
+	if err := fr.WriteJSON(&b); err != nil {
+		t.Logf("flight recorder %s: %v", fr.Service(), err)
+		return
+	}
+	t.Logf("flight recorder %s:\n%s", fr.Service(), b.String())
 }
 
 // TestGatewayJobAffinity: jobs proxy through the gateway bit-for-bit
@@ -365,9 +441,10 @@ func TestGatewayPromotion(t *testing.T) {
 	_ = nodes
 }
 
-// TestGatewayMetricsExposition: the aggregated /metrics endpoint parses
-// as valid Prometheus text and carries both gateway counters and
-// node-labeled families, each row equal to the node's own sample.
+// TestGatewayMetricsExposition: the aggregated /metrics endpoint serves
+// the exposition Content-Type, parses as valid Prometheus text, and
+// carries both gateway counters and node-labeled families, each row
+// equal to the node's own sample.
 func TestGatewayMetricsExposition(t *testing.T) {
 	_, gts, nodes := testCluster(t, 2)
 	ctx := context.Background()
@@ -400,6 +477,9 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ExpoContentType {
+		t.Errorf("gateway /metrics Content-Type %q, want %q", ct, obs.ExpoContentType)
 	}
 	samples, err := obs.ParseExposition(body)
 	if err != nil {

@@ -59,17 +59,18 @@ func (h *nodeHealth) snapshot() (healthy bool, lastErr string, demotions uint64)
 }
 
 // probeLoop drives readiness probes against every node until ctx ends.
-// One round probes all nodes concurrently; rounds are interval apart.
+// One round probes all nodes concurrently; rounds are interval apart,
+// the first one interval after Start's synchronous round.
 func (g *Gateway) probeLoop(ctx context.Context) {
 	t := time.NewTicker(g.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
-		g.probeAll(ctx)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
 			return
 		}
+		g.probeAll(ctx)
 	}
 }
 

@@ -2,11 +2,34 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"tcsim"
 	"tcsim/internal/tracestore"
 )
+
+// samplingFigure reproduces the estimator-validation figure once per
+// test binary, so TestSamplingFigure and TestSamplingFigureMemoizes
+// share one runner and its memo instead of each paying for the whole
+// validation half.
+var (
+	samplingFigureOnce   sync.Once
+	samplingFigureRunner *Runner
+	samplingFigureResult *SamplingResult
+	samplingFigureErr    error
+)
+
+func samplingFigure() (*Runner, *SamplingResult, error) {
+	samplingFigureOnce.Do(func() {
+		r := NewRunner(0)
+		r.Workloads = []string{"compress", "li"}
+		r.Parallel = 2
+		samplingFigureRunner = r
+		samplingFigureResult, samplingFigureErr = r.Sampling(300_000, 600_000, tcsim.SamplingConfig{})
+	})
+	return samplingFigureRunner, samplingFigureResult, samplingFigureErr
+}
 
 // TestSamplingFigure runs the estimator-validation figure at a small
 // budget over a workload subset: the exact reference must fall inside
@@ -14,10 +37,7 @@ import (
 // half must actually sample, and the formatted output must carry the
 // error and coverage columns the figure exists for.
 func TestSamplingFigure(t *testing.T) {
-	r := NewRunner(0)
-	r.Workloads = []string{"compress", "li"}
-	r.Parallel = 2
-	res, err := r.Sampling(300_000, 600_000, tcsim.SamplingConfig{})
+	_, res, err := samplingFigure()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,22 +68,20 @@ func TestSamplingFigure(t *testing.T) {
 	}
 }
 
-// TestSamplingFigureMemoizes: reproducing the figure twice on one
-// runner must not redo the validation simulations (the headline half is
-// deliberately uncached, so only compare the validation delta).
+// TestSamplingFigureMemoizes: reproducing the figure again on the same
+// runner must not redo the validation simulations; only the
+// deliberately uncached headline rows run again.
 func TestSamplingFigureMemoizes(t *testing.T) {
-	r := NewRunner(0)
-	r.Workloads = []string{"compress"}
-	if _, err := r.Sampling(300_000, 600_000, tcsim.SamplingConfig{}); err != nil {
+	r, res, err := samplingFigure()
+	if err != nil {
 		t.Fatal(err)
 	}
 	n := r.SimCount()
 	if _, err := r.Sampling(300_000, 600_000, tcsim.SamplingConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	// Second reproduction reruns only the (uncached) headline row.
-	if got := r.SimCount() - n; got != 1 {
-		t.Errorf("second reproduction ran %d simulations, want 1 (headline only)", got)
+	if got := r.SimCount() - n; got != uint64(len(res.Headline)) {
+		t.Errorf("second reproduction ran %d simulations, want %d (headline only)", got, len(res.Headline))
 	}
 }
 

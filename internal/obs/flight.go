@@ -13,9 +13,9 @@ import (
 // FlightRecorder is the per-process black box: an always-on bounded
 // buffer of recent spans plus free-form job-lifecycle events, cheap
 // enough to never switch off. It is read three ways — served live at
-// GET /debug/flight, dumped to disk on SIGQUIT, and dumped
-// automatically when a selfcheck or a 5xx says something just went
-// wrong — so the moments leading up to a failure are always on record.
+// GET /debug/flight, dumped to disk on SIGQUIT or automatically when a
+// 5xx says something just went wrong, and logged by a failing test —
+// so the moments leading up to a failure are always on record.
 //
 // All methods are nil-receiver safe: a daemon constructed without a
 // recorder (unit tests, embedded engines) pays only nil checks.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -40,9 +41,9 @@ type EngineConfig struct {
 	// Store is the trace store jobs capture into and replay from, and the
 	// trace CDN exports (nil = a fresh store of the default size). Hosts
 	// configure it (trace directory, peer fetcher) before serving; hosts
-	// embedding several engines in one process — the cluster selfcheck
-	// boots three nodes in-process — give each its own so per-node
-	// capture counters stay meaningful.
+	// embedding several engines in one process — the cluster tests boot
+	// three nodes in-process — give each its own so per-node capture
+	// counters stay meaningful.
 	Store *tcsim.TraceStore
 }
 
@@ -88,9 +89,10 @@ type runFlight struct {
 type Engine struct {
 	cfg     EngineConfig
 	met     *metrics
-	spans   *obs.Spanner  // nil outside a Server: every span call no-ops
-	tickets chan struct{} // admission tokens: Workers+Queue
-	slots   chan struct{} // worker slots: Workers
+	spans   *obs.Spanner        // nil outside a Server: every span call no-ops
+	flight  *obs.FlightRecorder // nil outside a Server: notes no-op
+	tickets chan struct{}       // admission tokens: Workers+Queue
+	slots   chan struct{}       // worker slots: Workers
 
 	mu      sync.Mutex
 	cache   map[string]*cacheEntry
@@ -240,9 +242,11 @@ func (e *Engine) Run(ctx context.Context, spec jobSpec) (res tcsim.Result, cache
 		e.met.misses.Add(1)
 		e.spans.Event(ctx, "cache-lookup", "outcome", "miss", "key", shortKey(key))
 		f.res, f.err = e.simulate(ctx, spec)
-		if isCancel(f.err) {
+		if f.err != nil {
+			// Only results are cached: callers that joined this run
+			// share its error, later ones run the key afresh.
 			e.forget(key, f)
-		} else if f.err == nil {
+		} else {
 			e.insert(key, f.res)
 		}
 		close(f.done)
@@ -251,8 +255,8 @@ func (e *Engine) Run(ctx context.Context, spec jobSpec) (res tcsim.Result, cache
 }
 
 // isCancel reports errors that carry no information about the config
-// itself — the run was merely interrupted — so the key must not be
-// poisoned with them.
+// itself — the run was merely interrupted — so a caller that joined the
+// run retries instead of sharing them.
 func isCancel(err error) bool {
 	return err != nil && (errors.Is(err, tcsim.ErrCanceled) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
@@ -325,7 +329,7 @@ func (e *Engine) simulate(ctx context.Context, spec jobSpec) (tcsim.Result, erro
 	var err error
 	pprof.Do(rctx, pprof.Labels("workload", spec.Workload, "job_key", shortKey(spec.Key())),
 		func(ctx context.Context) {
-			res, err = e.runSim(ctx, spec.Config(), spec.Workload)
+			res, err = e.runGuarded(ctx, spec)
 		})
 	wall := time.Since(t0)
 	e.met.inflight.Add(-1)
@@ -358,6 +362,21 @@ func (e *Engine) simulate(ctx context.Context, spec jobSpec) (tcsim.Result, erro
 	}
 	e.mu.Unlock()
 	return res, nil
+}
+
+// runGuarded runs one simulation and turns a panic into the job's
+// error: the job fails with a 500 while the process survives, and its
+// worker slot and the key's singleflight cell are released like any
+// failed run's. The stack goes to the flight recorder.
+func (e *Engine) runGuarded(ctx context.Context, spec jobSpec) (res tcsim.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("simulation panicked: %v", p)
+			e.flight.Notef("job panicked key=%s workload=%s: %v\n%s",
+				shortKey(spec.Key()), spec.Workload, p, debug.Stack())
+		}
+	}()
+	return e.runSim(ctx, spec.Config(), spec.Workload)
 }
 
 // Drain stops admitting new work and waits for every admitted job to

@@ -53,6 +53,9 @@ func TestPrometheusExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != obs.ExpoContentType {
 		t.Errorf("Content-Type %q, want %q", ct, obs.ExpoContentType)
 	}
+	if resp.Header.Get("X-Request-ID") == "" {
+		t.Error("GET /metrics response carries no X-Request-ID")
+	}
 	want := map[string]float64{
 		`tcserved_jobs_total{event="completed"}`:       2,
 		`tcserved_jobs_total{event="failed"}`:          0,

@@ -11,8 +11,8 @@ import (
 // exposition format (version 0.0.4), the daemon's only counter surface.
 // The exposition is written through the dependency-free obs.Expo
 // writer; obs.ParseExposition (used by (*client.Client).Metrics, the
-// cluster gateway's node scrape, the tests and tcserved -selfcheck)
-// validates exactly this output.
+// cluster gateway's node scrape and the tests) validates exactly this
+// output.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ExpoContentType)
 	m := s.engine.met

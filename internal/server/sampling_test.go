@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tcsim/client"
+	"tcsim/internal/tracestore"
 )
 
 // TestSamplingCacheKeys pins the cache-key contract for sampled jobs:
@@ -78,39 +79,54 @@ func TestSamplingValidation(t *testing.T) {
 	}
 }
 
-// TestEndToEndSampledJob runs warm-mode and seek-mode sampled jobs
-// through the real HTTP surface and requires bit-for-bit agreement with
-// a direct run of the resolved config, plus sampled aggregates in the
-// daemon metrics.
+// TestEndToEndSampledJob runs sampled jobs through the real HTTP
+// surface and requires bit-for-bit agreement with a direct run of the
+// resolved config, plus sampled aggregates in the daemon metrics. The
+// plans cover warm mode (fast-forward through the gaps), seek mode over
+// a full trace, and seek mode above tracestore.FullCaptureLimit, where
+// the store serves a checkpoint log and every seek must restore a
+// capture-time checkpoint instead of re-emulating the gap.
 func TestEndToEndSampledJob(t *testing.T) {
+	defer func(old uint64) { tracestore.FullCaptureLimit = old }(tracestore.FullCaptureLimit)
+	tracestore.FullCaptureLimit = 100_000 // make a 300k budget a "big" one cheaply
+
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
 
-	for _, seek := range []bool{false, true} {
-		req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts,
-			SamplePeriod: 2000, SampleWindow: 500, SampleWarmup: 500, SampleSeek: seek}
-		dcfg, _, err := ResolveConfig(req, Limits{})
+	for _, req := range []*client.JobRequest{
+		{Workload: "m88ksim", Insts: 20_000, SamplePeriod: 5_000, SampleWindow: 1_000, SampleWarmup: 1_000},
+		{Workload: "m88ksim", Insts: 20_000, SamplePeriod: 5_000, SampleWindow: 1_000, SampleWarmup: 1_000, SampleSeek: true},
+		{Workload: "m88ksim", Insts: 300_000, SamplePeriod: 60_000, SampleWindow: 5_000, SampleWarmup: 5_000, SampleSeek: true},
+	} {
+		seek, big := req.SampleSeek, req.Insts > tracestore.FullCaptureLimit
+		dcfg, key, err := ResolveConfig(req, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		expected := runDirect(t, dcfg, req.Workload)
 		if expected.Sampled == nil || expected.Sampled.Windows == 0 {
-			t.Fatalf("seek=%v: direct sampled run carries no windows: %+v", seek, expected.Sampled)
+			t.Fatalf("seek=%v big=%v: direct sampled run carries no windows: %+v", seek, big, expected.Sampled)
 		}
 		if seek && expected.Sampled.Seeks == 0 {
-			t.Errorf("seek mode performed no seeks: %+v", expected.Sampled)
+			t.Errorf("big=%v: seek mode performed no seeks: %+v", big, expected.Sampled)
+		}
+		if big && expected.Sampled.CheckpointRestores == 0 {
+			t.Errorf("seek mode above the full-capture limit restored no checkpoints: %+v", expected.Sampled)
 		}
 
 		job, err := cl.SubmitJob(ctx, req)
 		if err != nil {
-			t.Fatalf("seek=%v SubmitJob: %v", seek, err)
+			t.Fatalf("seek=%v big=%v SubmitJob: %v", seek, big, err)
 		}
 		if job.State != client.StateDone || job.Result == nil {
-			t.Fatalf("seek=%v job state %q, error %q", seek, job.State, job.Error)
+			t.Fatalf("seek=%v big=%v job state %q, error %q", seek, big, job.State, job.Error)
+		}
+		if job.Key != key {
+			t.Errorf("seek=%v big=%v: server key %s != client-computed key %s", seek, big, job.Key, key)
 		}
 		if !reflect.DeepEqual(*job.Result, expected) {
-			t.Errorf("seek=%v: served sampled result differs from direct run:\nserved %+v\ndirect %+v",
-				seek, *job.Result, expected)
+			t.Errorf("seek=%v big=%v: served sampled result differs from direct run:\nserved %+v\ndirect %+v",
+				seek, big, *job.Result, expected)
 		}
 	}
 
@@ -119,7 +135,8 @@ func TestEndToEndSampledJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"tcserved_sampling_windows_total",
-		`tcserved_sampling_insts_total{mode="ffwd"}`, "tcserved_sampling_seeks_total"} {
+		`tcserved_sampling_insts_total{mode="ffwd"}`, `tcserved_sampling_insts_total{mode="skipped"}`,
+		"tcserved_sampling_seeks_total", "tcserved_sampling_checkpoint_restores_total"} {
 		if met[name] == 0 {
 			t.Errorf("sampling metrics not aggregated: %s = 0", name)
 		}

@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -18,7 +21,7 @@ import (
 const testInsts = 5000
 
 // newTestServer starts a Server behind httptest and returns it with a
-// wired client.
+// wired client. A failed test logs the server's flight recorder.
 func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 	t.Helper()
 	srv := New(cfg)
@@ -28,6 +31,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *client.Client) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
+		if t.Failed() {
+			var b strings.Builder
+			srv.Flight().WriteJSON(&b)
+			t.Logf("flight recorder %s:\n%s", srv.Flight().Service(), b.String())
+		}
 	})
 	return srv, client.New(hs.URL)
 }
@@ -472,5 +480,116 @@ func TestPassSecondsMetric(t *testing.T) {
 		if got := met[name]; !(got > 0) {
 			t.Errorf("%s = %v, want > 0", name, got)
 		}
+	}
+}
+
+// TestSimulationPanicFailsJob: a panicking simulation fails its job
+// with a typed 500 instead of killing the daemon (async jobs run on
+// their own goroutine) or wedging its key's singleflight cell: a repeat
+// of the key runs again. The flight recorder keeps each run's stack,
+// the 5xx dump is written, and the one worker slot and the in-flight
+// gauge are released.
+func TestSimulationPanicFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	srv, cl := newTestServer(t, Config{Engine: EngineConfig{Workers: 1}, FlightDir: dir})
+	srv.engine.runSim = func(context.Context, tcsim.Config, string) (tcsim.Result, error) {
+		panic("induced simulation fault")
+	}
+	ctx := context.Background()
+	req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts}
+
+	var apiErr *client.APIError
+	if _, err := cl.SubmitJob(ctx, req); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusInternalServerError || apiErr.Code != "internal" {
+		t.Fatalf("panicking sync job = %v, want 500 internal", err)
+	}
+	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if _, err := cl.SubmitJob(rctx, req); !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Fatalf("repeat of the panicked key = %v, want a prompt 500 from a second run", err)
+	}
+
+	// A distinct key needs the single worker slot the panic held.
+	sub, err := cl.SubmitJobAsync(ctx, &client.JobRequest{Workload: "m88ksim", Insts: testInsts + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := cl.WaitJob(rctx, sub.ID, 2*time.Millisecond)
+	if err != nil {
+		t.Fatalf("async panicking job: %v", err)
+	}
+	if done.State != client.StateFailed || !strings.Contains(done.Error, "induced simulation fault") {
+		t.Fatalf("async panicking job = state %q, error %q, want failed with the panic", done.State, done.Error)
+	}
+
+	met, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := met["tcserved_jobs_in_flight"]; got != 0 {
+		t.Errorf("tcserved_jobs_in_flight = %v after the panics, want 0", got)
+	}
+	if got := met[`tcserved_jobs_total{event="failed"}`]; got != 3 {
+		t.Errorf(`tcserved_jobs_total{event="failed"} = %v, want 3`, got)
+	}
+	panics := 0
+	for _, ev := range srv.Flight().Events() {
+		if strings.Contains(ev.Msg, "job panicked") && strings.Contains(ev.Msg, "induced simulation fault") {
+			panics++
+		}
+	}
+	if panics != 3 {
+		t.Errorf("flight recorder holds %d panic notes, want 3 (one per run: a failed key is not cached)", panics)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "flight-tcserved-last5xx.json")); err != nil {
+		t.Errorf("no flight dump after the 500: %v", err)
+	}
+
+	fake := &fakeSim{}
+	fake.install(srv.engine)
+	if _, err := cl.SubmitJob(ctx, &client.JobRequest{Workload: "m88ksim", Insts: testInsts + 2}); err != nil {
+		t.Fatalf("submit after the panics: %v", err)
+	}
+}
+
+// TestCapturePanicFailsJob: a panic inside the trace store's capture
+// (here the peer fetch) fails that job with a 500 and retires the
+// capture's flight, so a later job on the same workload under another
+// config captures afresh instead of blocking on the dead capture.
+func TestCapturePanicFailsJob(t *testing.T) {
+	st := tcsim.NewTraceStore(0)
+	var once sync.Once
+	st.SetFetcher(func(_, _ string, _ uint64) ([]byte, error) {
+		once.Do(func() { panic("induced fetch fault") })
+		return nil, errors.New("no peer holds this trace")
+	})
+	_, cl := newTestServer(t, Config{Engine: EngineConfig{Store: st}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	var apiErr *client.APIError
+	req := &client.JobRequest{Workload: "m88ksim", Insts: testInsts}
+	if _, err := cl.SubmitJob(ctx, req); !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
+		t.Fatalf("job whose capture panicked = %v, want 500", err)
+	}
+	again := &client.JobRequest{Workload: "m88ksim", Insts: testInsts, Preset: client.PresetAll}
+	dcfg, _, err := ResolveConfig(again, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Async, so a job wedged on the capture fails the wait below instead
+	// of holding an HTTP handler that would block the server's Close.
+	job, err := cl.SubmitJobAsync(ctx, again)
+	if err == nil {
+		job, err = cl.WaitJob(ctx, job.ID, 2*time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("job on the same workload after the panicked capture: %v", err)
+	}
+	if want := runDirect(t, dcfg, again.Workload); job.Result == nil || !reflect.DeepEqual(*job.Result, want) {
+		t.Errorf("job after the panicked capture differs from a direct run")
+	}
+	if got := st.Stats().Captures; got != 1 {
+		t.Errorf("trace store captures = %d after the retry, want 1", got)
 	}
 }

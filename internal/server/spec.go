@@ -230,8 +230,8 @@ const servedTimelineEvents = 1 << 14
 
 // ResolveConfig resolves a wire request exactly as the daemon does,
 // returning the tcsim.Config the job would run and its canonical cache
-// key. The selfcheck harness uses it to compute direct-run reference
-// results for bit-for-bit comparison against served responses.
+// key. Tests use it to compute direct-run reference results for
+// bit-for-bit comparison against served responses.
 func ResolveConfig(req *client.JobRequest, lim Limits) (tcsim.Config, string, error) {
 	spec, err := resolveSpec(req, lim)
 	if err != nil {

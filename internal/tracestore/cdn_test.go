@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"tcsim/internal/workload"
 )
@@ -218,5 +220,44 @@ func TestCDNFetchPersistsToDisk(t *testing.T) {
 	}
 	if st := restarted.Stats(); st.DiskLoads != 1 || st.CDNFetches != 0 {
 		t.Fatalf("restarted stats = %+v, want one disk load and no fetch", st)
+	}
+}
+
+// TestCapturePanicRetiresFlight: a capture that panics (here inside the
+// peer fetch) still retires its singleflight cell, so the next Get of
+// the same key captures afresh instead of waiting forever on it.
+func TestCapturePanicRetiresFlight(t *testing.T) {
+	s := NewStore(0)
+	var once sync.Once
+	s.SetFetcher(func(_, _ string, _ uint64) ([]byte, error) {
+		once.Do(func() { panic("induced fetch fault") })
+		return nil, fmt.Errorf("no peer holds this trace")
+	})
+	func() {
+		defer func() {
+			if p := recover(); p == nil {
+				t.Fatal("the fetcher's panic did not reach the caller")
+			}
+		}()
+		s.Get("compress", 2000)
+	}()
+
+	type got struct {
+		ent     *Entry
+		outcome Outcome
+		err     error
+	}
+	ch := make(chan got, 1)
+	go func() {
+		ent, outcome, err := s.Get("compress", 2000)
+		ch <- got{ent, outcome, err}
+	}()
+	select {
+	case g := <-ch:
+		if g.err != nil || g.outcome != OutcomeCapture || g.ent == nil {
+			t.Fatalf("Get after the panicked capture = (%v, %v, %v), want a fresh capture", g.ent, g.outcome, g.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Get after the panicked capture is still waiting on its flight")
 	}
 }

@@ -277,7 +277,19 @@ func (s *Store) get(ctx context.Context, k key) (*Entry, Outcome, error) {
 		dir := s.dir
 		s.mu.Unlock()
 
-		f.ent, f.err = s.capture(ctx, k, dir)
+		s.runCapture(ctx, k, dir, f)
+		obs.SpanFrom(ctx).SetAttr("phase", OutcomeCapture.String())
+		return f.ent, OutcomeCapture, f.err
+	}
+}
+
+// runCapture fills f by capturing k and retires the flight. The flight
+// is retired even when the capture panics: its waiters get an error
+// (and fall back to live emulation) and the next caller captures
+// afresh, while the panic itself goes on up to the caller.
+func (s *Store) runCapture(ctx context.Context, k key, dir string, f *captureFlight) {
+	f.err = fmt.Errorf("tracestore: capture of %q aborted", k.name) // replaced when capture returns
+	defer func() {
 		s.mu.Lock()
 		if f.err == nil {
 			s.insert(k, f.ent)
@@ -285,9 +297,8 @@ func (s *Store) get(ctx context.Context, k key) (*Entry, Outcome, error) {
 		delete(s.flights, k)
 		s.mu.Unlock()
 		close(f.done)
-		obs.SpanFrom(ctx).SetAttr("phase", OutcomeCapture.String())
-		return f.ent, OutcomeCapture, f.err
-	}
+	}()
+	f.ent, f.err = s.capture(ctx, k, dir)
 }
 
 // capture builds the program and captures its stream, preferring the
